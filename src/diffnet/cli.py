@@ -18,7 +18,8 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,7 @@ from .ml import (
     evaluate,
     feature_ks_tests,
 )
-from .portraits import divergence_from_portraits, pad_portraits, portrait
+from .portraits import divergence_from_portraits, portrait
 from .synth import ClassProfile, generate_ensemble
 
 EXIT_OK = 0
@@ -87,20 +88,9 @@ class RunConfig:
             raise ValueError("min_tweets must be >= 0")
 
     def provenance(self) -> dict:
-        return {
-            "bucket": self.bucket.value,
-            "distance": self.distance,
-            "classifier": self.classifier,
-            "k": self.k,
-            "folds": self.folds,
-            "test_fraction": self.test_fraction,
-            "seed": self.seed,
-            "min_tweets": self.min_tweets,
-            "direction": self.direction.value,
-            "clustering": self.clustering.value,
-            "portrait_undirected": self.portrait_undirected,
-            "include_large": self.include_large,
-        }
+        """Every option but the subcommand, enums written as their values."""
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "subcommand"}
+        return {name: v.value if isinstance(v, Enum) else v for name, v in values.items()}
 
 
 def worker_count() -> int:
@@ -118,15 +108,25 @@ def network_id_for_url(url: str) -> str:
     return f"{slug}-{digest}" if slug else digest
 
 
-def _merge_manifest(out_dir: Path, new_entries: list[ds.ManifestEntry]) -> Path:
-    """Append entries to out_dir/manifest.csv, newer rows replacing same ids."""
+def _write_corpus(out_dir: Path, networks: list[DiffusionNetwork]) -> Path:
+    """Save each network as ``<id>.edges``/``<id>.nodes`` in out_dir and merge
+    its entry into out_dir/manifest.csv, newer rows replacing same ids."""
     manifest_path = out_dir / "manifest.csv"
     merged: dict[str, ds.ManifestEntry] = {}
     if manifest_path.exists():
         for entry in ds.read_manifest(manifest_path):
             merged[entry.network_id] = entry
-    for entry in new_entries:
-        merged[entry.network_id] = entry
+    for network in networks:
+        edges_path = out_dir / f"{network.network_id}.edges"
+        save_network(network, edges_path, nodes_path=out_dir / f"{network.network_id}.nodes")
+        merged[network.network_id] = ds.ManifestEntry(
+            network_id=network.network_id,
+            path=edges_path.name,
+            label=network.label,
+            bias=network.bias,
+            tweet_count=network.tweet_count,
+            n_nodes=len(network.nodes),
+        )
     ds.write_manifest(list(merged.values()), manifest_path)
     return manifest_path
 
@@ -143,39 +143,23 @@ def cmd_build(args: argparse.Namespace, config: RunConfig) -> int:
     if skipped:
         print(f"warning: skipped {skipped} malformed event lines", file=sys.stderr)
 
-    entries = []
-    total_nodes = total_edges = 0
-    below_min = []
-    for url, url_events in sorted(group_events_by_url(events).items()):
-        network_id = network_id_for_url(url)
-        network = build_network(
+    networks = [
+        build_network(
             url_events,
             url,
             direction=config.direction,
-            network_id=network_id,
+            network_id=network_id_for_url(url),
             label=Label.UNLABELED,
             bias=Bias.NONE,
         )
-        edges_path = out_dir / f"{network_id}.edges"
-        save_network(network, edges_path, nodes_path=out_dir / f"{network_id}.nodes")
-        entries.append(
-            ds.ManifestEntry(
-                network_id=network_id,
-                path=edges_path.name,
-                label=network.label,
-                bias=network.bias,
-                tweet_count=network.tweet_count,
-                n_nodes=len(network.nodes),
-            )
-        )
-        total_nodes += len(network.nodes)
-        total_edges += len(network.edges)
-        if network.tweet_count < config.min_tweets:
-            below_min.append(network_id)
-
-    manifest_path = _merge_manifest(out_dir, entries)
+        for url, url_events in sorted(group_events_by_url(events).items())
+    ]
+    manifest_path = _write_corpus(out_dir, networks)
+    total_nodes = sum(len(n.nodes) for n in networks)
+    total_edges = sum(len(n.edges) for n in networks)
+    below_min = [n.network_id for n in networks if n.tweet_count < config.min_tweets]
     print(
-        f"built {len(entries)} networks ({total_nodes} nodes, {total_edges} edges) "
+        f"built {len(networks)} networks ({total_nodes} nodes, {total_edges} edges) "
         f"-> {manifest_path}"
     )
     if below_min:
@@ -265,7 +249,7 @@ def cmd_distances(args: argparse.Namespace, config: RunConfig) -> int:
         for i in range(m):
             for j in range(i + 1, m):
                 matrix[i, j] = matrix[j, i] = divergence_from_portraits(
-                    *pad_portraits(portraits[i], portraits[j])
+                    portraits[i], portraits[j]
                 )
     else:
         raise DiffnetError(f"unknown distance {config.distance!r}")
@@ -279,28 +263,24 @@ def cmd_distances(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _filtered_samples(args: argparse.Namespace, config: RunConfig):
+    """The feature-table samples that pass the corpus filters; the tweet-count
+    filter applies only when a manifest is given."""
     samples = ds.read_feature_table(args.features)
+    tweet_counts = None
     if args.manifest:
-        by_id = {e.network_id: e for e in ds.read_manifest(Path(args.manifest))}
-        missing = [s.network_id for s in samples if s.network_id not in by_id]
+        tweet_counts = {e.network_id: e.tweet_count for e in ds.read_manifest(Path(args.manifest))}
+        missing = [s.network_id for s in samples if s.network_id not in tweet_counts]
         if missing:
             raise DiffnetError(
                 f"manifest lacks feature-table ids: {', '.join(sorted(missing))}"
             )
-        samples = [
-            s for s in samples if by_id[s.network_id].tweet_count >= config.min_tweets
-        ]
-    if args.bias:
-        allowed = frozenset(Bias(b) for b in args.bias)
-        samples = [s for s in samples if s.bias in allowed]
-    if args.exclude_source:
-        samples = [
-            s
-            for s in samples
-            if not any(src in s.network_id for src in args.exclude_source)
-        ]
-    samples = [s for s in samples if s.label is not Label.UNLABELED]
-    return samples
+    return ds.select_corpus(
+        samples,
+        tweet_counts,
+        min_tweets=config.min_tweets,
+        bias_filter=frozenset(Bias(b) for b in args.bias) if args.bias else None,
+        exclude_sources=args.exclude_source,
+    )
 
 
 def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
@@ -357,21 +337,7 @@ def cmd_generate(args: argparse.Namespace, config: RunConfig) -> int:
     networks = generate_ensemble(
         profile, config.bucket, count=args.count, seed=config.seed
     )
-    entries = []
-    for network in networks:
-        edges_path = out_dir / f"{network.network_id}.edges"
-        save_network(network, edges_path, nodes_path=out_dir / f"{network.network_id}.nodes")
-        entries.append(
-            ds.ManifestEntry(
-                network_id=network.network_id,
-                path=edges_path.name,
-                label=network.label,
-                bias=network.bias,
-                tweet_count=network.tweet_count,
-                n_nodes=len(network.nodes),
-            )
-        )
-    manifest_path = _merge_manifest(out_dir, entries)
+    manifest_path = _write_corpus(out_dir, networks)
     sizes = sorted(len(n.nodes) for n in networks)
     print(
         f"generated {len(networks)} {profile.value} networks "
@@ -395,9 +361,7 @@ def _five_number(values: np.ndarray) -> dict:
 
 
 def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
-    samples = _filtered_samples(args, config)
-    if config.bucket is not SizeBucket.D_ALL:
-        samples = [s for s in samples if config.bucket.contains(s.n_nodes)]
+    samples = [s for s in _filtered_samples(args, config) if config.bucket.contains(s.n_nodes)]
     dataset = ds.dataset_from_samples(samples)
     x = dataset.feature_matrix()
     y = dataset.label_vector()
@@ -429,14 +393,17 @@ def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
 # --- argument parsing -------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--bucket",
-        choices=[b.value for b in SizeBucket],
-        default=SizeBucket.D_ALL.value,
-    )
-    parser.add_argument("--min-tweets", type=int, default=50)
+_SHARED_OPTIONS = {
+    "--seed": {"type": int, "default": 0},
+    "--bucket": {"choices": [b.value for b in SizeBucket], "default": SizeBucket.D_ALL.value},
+    "--min-tweets": {"type": int, "default": 50},
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Register the named shared options; each subcommand takes only those it reads."""
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_OPTIONS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("events_file")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--direction", choices=[d.value for d in EdgeDirection], default="flow")
-    _add_common(p)
+    _add_shared(p, "--min-tweets")
 
     p = sub.add_parser("features", help="compute the seven-feature table for a manifest")
     p.add_argument("manifest")
@@ -458,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--clustering", choices=[c.value for c in ClusteringVariant], default="undirected"
     )
-    _add_common(p)
 
     p = sub.add_parser("distances", help="compute a pairwise distance matrix")
     p.add_argument("manifest")
@@ -466,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=["dgcd13", "portrait"], default="dgcd13")
     p.add_argument("--include-large", action="store_true")
     p.add_argument("--portrait-undirected", action="store_true")
-    _add_common(p)
 
     p = sub.add_parser("classify", help="cross-validated classification from a feature table")
     p.add_argument("--features", required=True)
@@ -480,13 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-fraction", type=float, default=0.1)
     p.add_argument("--bias", action="append", choices=[b.value for b in Bias])
     p.add_argument("--exclude-source", action="append", default=[])
-    _add_common(p)
+    _add_shared(p, "--seed", "--bucket", "--min-tweets")
 
     p = sub.add_parser("generate", help="generate a synthetic labeled ensemble")
     p.add_argument("--profile", choices=[c.value for c in ClassProfile], required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out-dir", required=True)
-    _add_common(p)
+    _add_shared(p, "--seed", "--bucket")
 
     p = sub.add_parser("report", help="per-feature class comparison (KS tests, box-plot data)")
     p.add_argument("--features", required=True)
@@ -494,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--bias", action="append", choices=[b.value for b in Bias])
     p.add_argument("--exclude-source", action="append", default=[])
-    _add_common(p)
+    _add_shared(p, "--bucket", "--min-tweets")
 
     return parser
 

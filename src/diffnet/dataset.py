@@ -9,9 +9,9 @@ feature vectors.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from .ml import LabeledDataset, Sample
 
 MANIFEST_COLUMNS = ("network_id", "path", "label", "bias", "tweet_count")
 FEATURE_TABLE_COLUMNS = ("network_id", "label", "bias", "n_nodes") + FEATURE_NAMES
+
+_Item = TypeVar("_Item")  # ManifestEntry or Sample: has network_id, label and bias
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,10 @@ def read_distance_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:
                     f"expected {len(ids) + 1} cells, found {len(row)}", path=path, line_no=line_no
                 )
             row_ids.append(row[0])
-            matrix[len(row_ids) - 1] = [float(v) for v in row[1:]]
+            values = matrix[len(row_ids) - 1]
+            values[:] = [float(v) for v in row[1:]]
+            if not np.isfinite(values).all():
+                raise FileFormatError("non-finite distance", path=path, line_no=line_no)
         if row_ids != ids:
             raise FileFormatError("row ids do not match header ids", path=path)
     return ids, matrix
@@ -190,9 +195,9 @@ def load_manifest_networks(
         if not p.exists():
             bad.append(entry.network_id)
             continue
-        network = load_network(p, fmt="edgelist")
-        network = replace(
-            network,
+        network = load_network(
+            p,
+            fmt="edgelist",
             network_id=entry.network_id,
             label=entry.label,
             bias=entry.bias,
@@ -202,6 +207,32 @@ def load_manifest_networks(
     if bad:
         raise DatasetError(f"unresolvable network paths for ids: {', '.join(sorted(bad))}")
     return loaded
+
+
+def select_corpus(
+    items: Iterable[_Item],
+    tweet_counts: Mapping[str, int] | None,
+    *,
+    min_tweets: int = 50,
+    bias_filter: frozenset[Bias] | None = None,
+    exclude_sources: Sequence[str] = (),
+) -> list[_Item]:
+    """The manifest entries or samples that pass the corpus filters.
+
+    An item is dropped when its tweet count (looked up by network_id in
+    ``tweet_counts``; this filter is off when that is None) is below
+    ``min_tweets``, when it is unlabeled, when ``bias_filter`` is given and
+    lacks its bias, or when any ``exclude_sources`` string occurs in its
+    network_id. The order of ``items`` is kept.
+    """
+    return [
+        item
+        for item in items
+        if (tweet_counts is None or tweet_counts[item.network_id] >= min_tweets)
+        and item.label is not Label.UNLABELED
+        and (bias_filter is None or item.bias in bias_filter)
+        and not any(src in item.network_id for src in exclude_sources)
+    ]
 
 
 def assemble(
@@ -215,27 +246,20 @@ def assemble(
 ) -> LabeledDataset:
     """Build a LabeledDataset from a manifest file.
 
-    Applies, in order: the min_tweets corpus filter, the unlabeled-network
-    drop, the optional bias slice, and the exclude-source slice (an entry
-    is excluded when any given source string occurs in its network_id).
-    Samples are ordered by network_id. When a precomputed distance matrix
-    is supplied it is re-indexed to the surviving samples.
+    Keeps the entries that ``select_corpus`` passes, loads their networks
+    and computes their feature vectors. Samples are ordered by network_id.
+    When a precomputed distance matrix is supplied it is re-indexed to the
+    surviving samples.
     """
     manifest_path = Path(manifest_path)
     entries = read_manifest(manifest_path)
-    kept = []
-    for entry in entries:
-        if entry.tweet_count < min_tweets:
-            continue
-        if entry.label is Label.UNLABELED:
-            continue
-        if bias_filter is not None and entry.bias not in bias_filter:
-            continue
-        if any(src in entry.network_id for src in exclude_sources):
-            continue
-        kept.append(entry)
-    kept.sort(key=lambda e: e.network_id)
-
+    kept = select_corpus(
+        entries,
+        {e.network_id: e.tweet_count for e in entries},
+        min_tweets=min_tweets,
+        bias_filter=bias_filter,
+        exclude_sources=exclude_sources,
+    )
     samples = []
     for entry, network in load_manifest_networks(kept, base=manifest_path.parent):
         fv = extract_features(network, clustering=clustering)
@@ -249,25 +273,17 @@ def assemble(
                 n_nodes=len(network.nodes),
             )
         )
-
-    matrix = None
-    if distances is not None:
-        ids, full = distances
-        index = {network_id: i for i, network_id in enumerate(ids)}
-        missing = [s.network_id for s in samples if s.network_id not in index]
-        if missing:
-            raise DatasetError(
-                f"distance matrix lacks ids: {', '.join(sorted(missing))}"
-            )
-        order = [index[s.network_id] for s in samples]
-        matrix = np.asarray(full)[np.ix_(order, order)]
-    return LabeledDataset(samples=samples, distances=matrix)
+    return dataset_from_samples(samples, distances=distances)
 
 
 def dataset_from_samples(
     samples: Sequence[Sample], distances: tuple[Sequence[str], np.ndarray] | None = None
 ) -> LabeledDataset:
-    """LabeledDataset from already-computed samples, ordered by network_id."""
+    """LabeledDataset from already-computed samples, ordered by network_id.
+
+    A supplied distance matrix is re-indexed to the sample order; every
+    sample id must be among its ids.
+    """
     ordered = sorted(samples, key=lambda s: s.network_id)
     matrix = None
     if distances is not None:
@@ -278,4 +294,4 @@ def dataset_from_samples(
             raise DatasetError(f"distance matrix lacks ids: {', '.join(sorted(missing))}")
         order = [index[s.network_id] for s in ordered]
         matrix = np.asarray(full)[np.ix_(order, order)]
-    return LabeledDataset(samples=list(ordered), distances=matrix)
+    return LabeledDataset(samples=ordered, distances=matrix)

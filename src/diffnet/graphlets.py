@@ -19,16 +19,15 @@ entry and are skipped.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from itertools import permutations
-from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyGraphError
 from .graphs import DiffusionNetwork
+from .ml import average_ranks
 
 N_ORBITS = 13
 
@@ -88,7 +87,7 @@ SIGNATURE_ORBITS: tuple[tuple[int, int, int] | None, ...] = tuple(
 def count_orbits(network: DiffusionNetwork) -> np.ndarray:
     """Per-node counts of the 13 directed graphlet orbits.
 
-    Arcs are tallied directly into orbits 0/1; connected induced triples
+    Out- and in-degrees give orbits 0/1; connected induced triples
     are enumerated once each from the sorted undirected adjacency (a
     triangle is claimed by its smallest member, a wedge by its center)
     and classified through the 6-bit signature table.
@@ -107,9 +106,8 @@ def count_orbits(network: DiffusionNetwork) -> np.ndarray:
     und_sets = network.und_sets
     und_lists = network.und_lists
 
-    for a, b in network.arcs:
-        counts[a, 0] += 1
-        counts[b, 1] += 1
+    counts[:, 0] = [len(s) for s in out_sets]
+    counts[:, 1] = [len(s) for s in network.in_sets]
 
     sig_orbits = SIGNATURE_ORBITS
     for u in range(n):
@@ -144,21 +142,6 @@ def count_orbits(network: DiffusionNetwork) -> np.ndarray:
     return counts
 
 
-def _average_ranks(column: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned their average rank."""
-    order = np.argsort(column, kind="stable")
-    ranks = np.empty(len(column), dtype=np.float64)
-    sorted_vals = column[order]
-    i = 0
-    while i < len(column):
-        j = i
-        while j + 1 < len(column) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
-        i = j + 1
-    return ranks
-
-
 def correlation_matrix(counts: np.ndarray) -> np.ndarray:
     """Spearman correlations between orbit-count columns.
 
@@ -173,7 +156,7 @@ def correlation_matrix(counts: np.ndarray) -> np.ndarray:
     if counts.shape[0] < 1:
         raise ValueError("orbit count matrix needs at least one row")
     padded = np.vstack([counts, np.ones((1, N_ORBITS), dtype=counts.dtype)])
-    ranks = np.column_stack([_average_ranks(padded[:, k]) for k in range(N_ORBITS)])
+    ranks = np.column_stack([average_ranks(padded[:, k]) for k in range(N_ORBITS)])
     centered = ranks - ranks.mean(axis=0)
     norms = np.sqrt((centered**2).sum(axis=0))
     corr = np.eye(N_ORBITS)
@@ -205,29 +188,3 @@ def dgcd13(a: DiffusionNetwork, b: DiffusionNetwork) -> float:
     """Directed graphlet correlation distance between two networks."""
     return dgcd_from_correlations(network_correlations(a), network_correlations(b))
 
-
-# --- signature cache --------------------------------------------------------
-
-
-def save_signature(counts: np.ndarray, corr: np.ndarray, counts_path, corr_path) -> None:
-    """Persist one network's orbit counts and correlation matrix as CSV."""
-    with Path(counts_path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"orbit_{k}" for k in range(N_ORBITS)])
-        writer.writerows(np.asarray(counts, dtype=np.int64).tolist())
-    with Path(corr_path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in np.asarray(corr, dtype=np.float64):
-            writer.writerow([repr(float(x)) for x in row])
-
-
-def load_signature(counts_path, corr_path) -> tuple[np.ndarray, np.ndarray]:
-    with Path(counts_path).open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        counts = np.array([[int(x) for x in row] for row in reader], dtype=np.int64)
-    with Path(corr_path).open("r", newline="", encoding="utf-8") as fh:
-        corr = np.array([[float(x) for x in row] for row in csv.reader(fh)], dtype=np.float64)
-    if corr.shape != (N_ORBITS, N_ORBITS):
-        raise ValueError(f"correlation matrix in {corr_path} is not {N_ORBITS}x{N_ORBITS}")
-    return counts, corr

@@ -148,33 +148,25 @@ class DiffusionNetwork:
     def node_index(self) -> dict[str, int]:
         return {u: i for i, u in enumerate(self.sorted_nodes)}
 
-    @cached_property
-    def arcs(self) -> tuple[tuple[int, int], ...]:
-        """Edges as (source index, target index), deterministically ordered."""
+    def _index_sets(self, pairs: Iterable[tuple[str, str]]) -> tuple[frozenset[int], ...]:
+        """Per source index, the frozenset of target indices of ``pairs``."""
         idx = self.node_index
-        return tuple(sorted((idx[u], idx[v]) for u, v in self.edges))
+        sets = [set() for _ in range(self.n_nodes)]
+        for u, v in pairs:
+            sets[idx[u]].add(idx[v])
+        return tuple(frozenset(s) for s in sets)
 
     @cached_property
     def out_sets(self) -> tuple[frozenset[int], ...]:
-        out = [set() for _ in range(self.n_nodes)]
-        for a, b in self.arcs:
-            out[a].add(b)
-        return tuple(frozenset(s) for s in out)
+        return self._index_sets(self.edges)
 
     @cached_property
     def in_sets(self) -> tuple[frozenset[int], ...]:
-        inc = [set() for _ in range(self.n_nodes)]
-        for a, b in self.arcs:
-            inc[b].add(a)
-        return tuple(frozenset(s) for s in inc)
+        return self._index_sets((v, u) for u, v in self.edges)
 
     @cached_property
     def out_lists(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(sorted(s)) for s in self.out_sets)
-
-    @cached_property
-    def in_lists(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sorted(s)) for s in self.in_sets)
 
     @cached_property
     def und_sets(self) -> tuple[frozenset[int], ...]:

@@ -247,6 +247,13 @@ def stratified_shuffle_split(
 # --- ROC / AUC --------------------------------------------------------------
 
 
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties assigned their average rank."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2)[inverse]
+
+
 class RocCurve(NamedTuple):
     thresholds: np.ndarray
     fpr: np.ndarray
@@ -280,23 +287,9 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
     tpr = np.concatenate([[0.0], tp[cut] / n_pos])
 
     # Mann-Whitney from average ranks
-    ranks = _rank_average(scores)
+    ranks = average_ranks(scores)
     auc = (float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
     return RocCurve(thresholds, fpr, tpr, auc)
-
-
-def _rank_average(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
-        i = j + 1
-    return ranks
 
 
 # --- labeled datasets and evaluation ----------------------------------------
@@ -330,6 +323,8 @@ class LabeledDataset:
                 raise ValueError(
                     f"distance matrix shape {d.shape} does not match {len(ids)} samples"
                 )
+            if not np.isfinite(d).all():
+                raise ValueError("distance matrix must be finite")
             if np.any(np.diag(d) != 0.0):
                 raise ValueError("distance matrix diagonal must be zero")
             if np.max(np.abs(d - d.T)) > 1e-9:

@@ -14,9 +14,7 @@ base-2 logarithms, giving a value in [0, 1].
 
 from __future__ import annotations
 
-import csv
 from collections import deque
-from pathlib import Path
 
 import numpy as np
 
@@ -117,30 +115,3 @@ def portrait_divergence(
         portrait(a, undirected=undirected), portrait(b, undirected=undirected)
     )
 
-
-# --- portrait cache (sparse triplet CSV) ------------------------------------
-
-
-def save_portrait(b: np.ndarray, path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["l", "k", "count"])
-        for ell, k in zip(*np.nonzero(b)):
-            writer.writerow([int(ell), int(k), int(b[ell, k])])
-
-
-def load_portrait(path) -> np.ndarray:
-    triplets = []
-    with Path(path).open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        for row in reader:
-            triplets.append((int(row[0]), int(row[1]), int(row[2])))
-    if not triplets:
-        raise ValueError(f"portrait cache {path} is empty")
-    rows = max(t[0] for t in triplets) + 1
-    cols = max(max(t[1] for t in triplets) + 1, 2)
-    b = np.zeros((rows, cols), dtype=np.int64)
-    for ell, k, count in triplets:
-        b[ell, k] = count
-    return b

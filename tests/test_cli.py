@@ -33,7 +33,7 @@ from diffnet.cli import (
     worker_count,
 )
 
-from util import make_network
+from util import make_network, random_graph
 
 URL_A = "https://example.com/news/alpha"
 URL_B = "https://example.com/news/beta"
@@ -283,6 +283,22 @@ def test_distances_identical_networks_are_zero(tmp_path, capsys):
     assert main(["distances", str(manifest), "--out", str(out2), "--which", "portrait"]) == EXIT_OK
     _, m2 = read_distance_matrix(out2)
     assert m2[0, 1] == 0.0
+
+
+def test_distances_worker_pool_matches_serial(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    manifest = write_corpus(
+        tmp_path,
+        [make_network(*random_graph(rng, 12, 0.2), network_id=f"net-{i}") for i in range(4)],
+    )
+    for which in ("dgcd13", "portrait"):
+        outputs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("DIFFNET_WORKERS", workers)
+            out = tmp_path / f"{which}-{workers}.csv"
+            assert main(["distances", str(manifest), "--out", str(out), "--which", which]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 def test_distances_excludes_large_networks_by_default(tmp_path, capsys):
@@ -543,13 +559,15 @@ def test_report_single_class_is_fatal(tmp_path, capsys):
         ["classify", "--features", "x", "--out", "y", "--k", "0"],
         ["classify", "--features", "x", "--out", "y", "--folds", "0"],
         ["classify", "--features", "x", "--out", "y", "--test-fraction", "1.5"],
-        ["features", "m.csv", "--out", "f.csv", "--min-tweets", "-1"],
+        ["classify", "--features", "x", "--out", "y", "--min-tweets", "-1"],
         ["distances", "m.csv", "--out", "d.csv", "--which", "bogus"],
         ["generate", "--profile", "nonsense", "--count", "1", "--out-dir", "g"],
+        ["features", "m.csv", "--out", "f.csv", "--bucket", "0-100"],
     ],
 )
 def test_invalid_options_exit_two(argv):
-    # argparse rejects bad values before any command code runs
+    # argparse rejects bad values, and options the subcommand does not read,
+    # before any command code runs
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2

@@ -159,6 +159,13 @@ def test_distance_matrix_ragged_row_rejected(tmp_path):
         read_distance_matrix(path)
 
 
+def test_distance_matrix_non_finite_rejected(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("network_id,a,b\na,0.0,1.0\nb,nan,0.0\n")
+    with pytest.raises(FileFormatError, match="d.csv:3: non-finite"):
+        read_distance_matrix(path)
+
+
 def test_distance_matrix_empty_rejected(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("")

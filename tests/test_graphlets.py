@@ -16,10 +16,7 @@ from diffnet import (
     correlation_matrix,
     count_orbits,
     dgcd13,
-    dgcd_from_correlations,
-    load_signature,
     network_correlations,
-    save_signature,
 )
 
 import util
@@ -304,20 +301,6 @@ def test_distance_invariant_under_relabeling(g, seed):
     perm = np.random.default_rng(seed).permutation(n)
     mapping = {f"n{i:03d}": f"m{perm[i]:03d}" for i in range(n)}
     assert dgcd13(net, net.relabeled(mapping)) == pytest.approx(0.0, abs=1e-12)
-
-
-# --- signature cache --------------------------------------------------------
-
-
-def test_signature_roundtrip(tmp_path):
-    net = make_network(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4)])
-    counts = count_orbits(net)
-    corr = correlation_matrix(counts)
-    save_signature(counts, corr, tmp_path / "c.csv", tmp_path / "r.csv")
-    counts2, corr2 = load_signature(tmp_path / "c.csv", tmp_path / "r.csv")
-    assert np.array_equal(counts, counts2)
-    assert np.array_equal(corr, corr2)
-    assert dgcd_from_correlations(corr, corr2) == 0.0
 
 
 def test_network_correlations_composes():

@@ -455,6 +455,10 @@ def test_dataset_distance_matrix_validation():
     asym[0, 1] = 1.0
     with pytest.raises(ValueError, match="symmetric"):
         LabeledDataset(list(samples), asym)
+    not_finite = np.zeros((3, 3))
+    not_finite[0, 1] = not_finite[1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        LabeledDataset(list(samples), not_finite)
     nearly = np.array([[0.0, 1.0, 2.0], [1.0 + 1e-12, 0.0, 3.0], [2.0, 3.0, 0.0]])
     LabeledDataset(list(samples), nearly)  # asymmetry below tolerance is fine
 

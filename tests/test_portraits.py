@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 
 from diffnet import (
     EmptyGraphError,
-    divergence_from_portraits,
-    load_portrait,
     pad_portraits,
     pair_distribution,
     portrait,
@@ -214,24 +212,3 @@ def test_divergence_zero_for_isomorphic_pairs(g, seed):
     mapping = {f"n{i:03d}": f"m{perm[i]:03d}" for i in range(n)}
     assert portrait_divergence(net, net.relabeled(mapping)) == 0.0
 
-
-# --- cache ------------------------------------------------------------------
-
-
-def test_portrait_cache_roundtrip(tmp_path):
-    b = portrait(make_network(5, [(0, 1), (1, 2), (2, 3), (0, 4)]))
-    path = tmp_path / "portrait.csv"
-    from diffnet import save_portrait
-
-    save_portrait(b, path)
-    loaded = load_portrait(path)
-    p1, p2 = pad_portraits(b, loaded)
-    assert np.array_equal(p1, p2)
-    assert divergence_from_portraits(b, loaded) == 0.0
-
-
-def test_empty_portrait_cache_rejected(tmp_path):
-    path = tmp_path / "portrait.csv"
-    path.write_text("l,k,count\n")
-    with pytest.raises(ValueError, match="empty"):
-        load_portrait(path)
