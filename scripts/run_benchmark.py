@@ -54,7 +54,7 @@ def shuffled_control(dataset, seed: int):
     )
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=500,
                         help="networks per profile per bucket")
@@ -70,7 +70,7 @@ def main() -> None:
                         help="also run a shuffled-label control with lr")
     parser.add_argument("--out-dir", type=Path, default=None,
                         help="write one JSON report per (bucket, classifier)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     if args.out_dir is not None:
         args.out_dir.mkdir(parents=True, exist_ok=True)

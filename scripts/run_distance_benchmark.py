@@ -22,40 +22,24 @@ from diffnet import (
     SizeBucket,
     bucket_of,
     dataset_from_samples,
-    dgcd_from_correlations,
-    divergence_from_portraits,
+    distance_matrix,
     evaluate,
     extract_features,
     generate_ensemble,
     network_correlations,
-    pad_portraits,
     portrait,
 )
 
 PROFILE_SEEDS = {ClassProfile.BROADCAST_LIKE: 101, ClassProfile.CLUSTERED_LIKE: 202}
 
 
-def distance_matrix(networks, metric: str, undirected: bool) -> np.ndarray:
-    m = len(networks)
-    matrix = np.zeros((m, m))
+def signatures(networks, metric: str, undirected: bool) -> list[np.ndarray]:
     if metric == "portrait":
-        portraits = [portrait(net, undirected=undirected) for net in networks]
-        for i in range(m):
-            for j in range(i + 1, m):
-                matrix[i, j] = matrix[j, i] = divergence_from_portraits(
-                    *pad_portraits(portraits[i], portraits[j])
-                )
-    else:
-        correlations = [network_correlations(net) for net in networks]
-        for i in range(m):
-            for j in range(i + 1, m):
-                matrix[i, j] = matrix[j, i] = dgcd_from_correlations(
-                    correlations[i], correlations[j]
-                )
-    return matrix
+        return [portrait(net, undirected=undirected) for net in networks]
+    return [network_correlations(net) for net in networks]
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=200,
                         help="networks per profile")
@@ -69,7 +53,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, default=None,
                         help="write the classification report as JSON")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     bucket = SizeBucket(args.bucket)
     t0 = time.perf_counter()
@@ -81,7 +65,8 @@ def main() -> None:
     print(f"{len(networks)} networks generated in {time.perf_counter() - t0:.1f} s")
 
     t1 = time.perf_counter()
-    matrix = distance_matrix(networks, args.metric, args.portrait_undirected)
+    matrix = distance_matrix(signatures(networks, args.metric, args.portrait_undirected),
+                             args.metric)
     print(f"{args.metric} matrix in {time.perf_counter() - t1:.1f} s")
 
     samples = [

@@ -5,7 +5,8 @@ Every command is deterministic given its inputs and seed. Exit codes:
 0 = success, 1 = fatal error, 2 = completed with skipped items.
 
 The DIFFNET_WORKERS environment variable sets the process pool size used
-for per-network signature and portrait computation (default 1).
+for per-network signature and portrait computation (default 1); any value
+but a positive integer is rejected.
 """
 
 from __future__ import annotations
@@ -39,19 +40,15 @@ from .graphs import (
     read_events,
     save_network,
 )
-from .graphlets import (
-    LARGE_NETWORK_THRESHOLD,
-    LargeNetworkWarning,
-    dgcd_from_correlations,
-    network_correlations,
-)
+from .graphlets import LARGE_NETWORK_THRESHOLD, LargeNetworkWarning, network_correlations
 from .ml import (
+    ConvergenceWarning,
     EvalConfig,
     LogisticConfig,
     evaluate,
     feature_ks_tests,
 )
-from .portraits import divergence_from_portraits, portrait
+from .portraits import portrait
 from .synth import ClassProfile, generate_ensemble
 
 EXIT_OK = 0
@@ -94,10 +91,15 @@ class RunConfig:
 
 
 def worker_count() -> int:
+    """The DIFFNET_WORKERS pool size; anything but a positive integer is an error."""
+    raw = os.environ.get("DIFFNET_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("DIFFNET_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise DiffnetError(f"DIFFNET_WORKERS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def network_id_for_url(url: str) -> str:
@@ -196,19 +198,22 @@ def cmd_features(args: argparse.Namespace, config: RunConfig) -> int:
 # --- distances --------------------------------------------------------------
 
 
-def _correlation_task(network: DiffusionNetwork) -> np.ndarray:
+def _signature_task(task: tuple[Path, str, RunConfig]) -> np.ndarray | None:
+    """Load one network and return its signature for ``config.distance``, or
+    None for a network the dgcd13 matrix excludes. Tasks carry paths, so
+    only paths and signatures cross the worker pool."""
+    path, network_id, config = task
+    network = load_network(path, fmt="edgelist", network_id=network_id)
+    if config.distance == "portrait":
+        return portrait(network, undirected=config.portrait_undirected)
+    if not config.include_large and network.n_nodes >= LARGE_NETWORK_THRESHOLD:
+        return None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LargeNetworkWarning)
         return network_correlations(network)
 
 
-def _portrait_task(network_and_flag: tuple[DiffusionNetwork, bool]) -> np.ndarray:
-    network, undirected = network_and_flag
-    return portrait(network, undirected=undirected)
-
-
-def _map_tasks(fn, items):
-    workers = worker_count()
+def _map_tasks(fn, items, workers: int):
     if workers == 1 or len(items) < 2:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -216,45 +221,27 @@ def _map_tasks(fn, items):
 
 
 def cmd_distances(args: argparse.Namespace, config: RunConfig) -> int:
+    workers = worker_count()
     manifest_path = Path(args.manifest)
     entries = sorted(ds.read_manifest(manifest_path), key=lambda e: e.network_id)
-    loaded = ds.load_manifest_networks(entries, base=manifest_path.parent)
-    networks = [network for _, network in loaded]
+    paths = ds.resolve_manifest_paths(entries, base=manifest_path.parent)
+    tasks = [(path, entry.network_id, config) for path, entry in zip(paths, entries)]
+    results = _map_tasks(_signature_task, tasks, workers)
 
-    if config.distance == "dgcd13" and not config.include_large:
-        excluded = [n.network_id for n in networks if len(n.nodes) >= LARGE_NETWORK_THRESHOLD]
-        if excluded:
-            print(
-                f"excluded {len(excluded)} networks with >= {LARGE_NETWORK_THRESHOLD} nodes: "
-                + ", ".join(excluded)
-            )
-        networks = [n for n in networks if len(n.nodes) < LARGE_NETWORK_THRESHOLD]
-    if not networks:
+    excluded = [e.network_id for e, sig in zip(entries, results) if sig is None]
+    if excluded:
+        print(
+            f"excluded {len(excluded)} networks with >= {LARGE_NETWORK_THRESHOLD} nodes: "
+            + ", ".join(excluded)
+        )
+    ids = [e.network_id for e, sig in zip(entries, results) if sig is not None]
+    signatures = [sig for sig in results if sig is not None]
+    if not signatures:
         raise DiffnetError("no networks left to compare")
 
-    ids = [n.network_id for n in networks]
-    m = len(networks)
-    matrix = np.zeros((m, m))
-    if config.distance == "dgcd13":
-        correlations = _map_tasks(_correlation_task, networks)
-        for i in range(m):
-            for j in range(i + 1, m):
-                matrix[i, j] = matrix[j, i] = dgcd_from_correlations(
-                    correlations[i], correlations[j]
-                )
-    elif config.distance == "portrait":
-        portraits = _map_tasks(
-            _portrait_task, [(n, config.portrait_undirected) for n in networks]
-        )
-        for i in range(m):
-            for j in range(i + 1, m):
-                matrix[i, j] = matrix[j, i] = divergence_from_portraits(
-                    portraits[i], portraits[j]
-                )
-    else:
-        raise DiffnetError(f"unknown distance {config.distance!r}")
-
+    matrix = ds.distance_matrix(signatures, config.distance)
     ds.write_distance_matrix(ids, matrix, args.out)
+    m = len(ids)
     print(f"wrote {m}x{m} {config.distance} matrix -> {args.out}")
     return EXIT_OK
 
@@ -302,7 +289,11 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
         seed=config.seed,
         logistic=LogisticConfig(),
     )
-    report = evaluate(dataset, eval_config, bucket=config.bucket)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConvergenceWarning)
+        report = evaluate(dataset, eval_config, bucket=config.bucket)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     payload = report.to_dict()
     payload["config"].update(config.provenance())
 

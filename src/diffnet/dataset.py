@@ -22,8 +22,10 @@ from .features import (
     FeatureVector,
     extract_features,
 )
-from .graphs import Bias, DiffusionNetwork, Label, SizeBucket, bucket_of, load_network
+from .graphlets import dgcd_from_correlations
+from .graphs import Bias, Label, SizeBucket, bucket_of, load_network
 from .ml import LabeledDataset, Sample
+from .portraits import divergence_from_portraits, portrait_distributions
 
 MANIFEST_COLUMNS = ("network_id", "path", "label", "bias", "tweet_count")
 FEATURE_TABLE_COLUMNS = ("network_id", "label", "bias", "n_nodes") + FEATURE_NAMES
@@ -171,6 +173,10 @@ def read_distance_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:
                 raise FileFormatError(
                     f"expected {len(ids) + 1} cells, found {len(row)}", path=path, line_no=line_no
                 )
+            if len(row_ids) == len(ids):
+                raise FileFormatError(
+                    f"more rows than the {len(ids)} header ids", path=path, line_no=line_no
+                )
             row_ids.append(row[0])
             values = matrix[len(row_ids) - 1]
             values[:] = [float(v) for v in row[1:]]
@@ -181,32 +187,42 @@ def read_distance_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:
     return ids, matrix
 
 
+def distance_matrix(signatures: Sequence[np.ndarray], distance: str) -> np.ndarray:
+    """Symmetric zero-diagonal matrix of the distances between per-network
+    signatures: 13x13 orbit correlations for ``dgcd13``, portraits for
+    ``portrait``.
+
+    Identical signatures are compared once, so their distance is exactly 0
+    and their rows are identical. Row i of the distinct signatures is one
+    call of the distance on the distinct signatures after i.
+    """
+    if distance == "dgcd13":
+        stack, kernel = np.stack(signatures), dgcd_from_correlations
+    elif distance == "portrait":
+        stack, kernel = portrait_distributions(signatures), divergence_from_portraits
+    else:
+        raise ValueError(f"unknown distance {distance!r}")
+    stack, inverse = np.unique(stack, axis=0, return_inverse=True)
+    m = len(stack)
+    matrix = np.zeros((m, m))
+    for i in range(m - 1):
+        matrix[i, i + 1 :] = kernel(stack[i], stack[i + 1 :])
+    matrix += matrix.T
+    inverse = inverse.reshape(-1)  # not 1-D on every numpy version
+    return matrix[np.ix_(inverse, inverse)]
+
+
 # --- dataset assembly -------------------------------------------------------
 
 
-def load_manifest_networks(
-    entries: Iterable[ManifestEntry], base: Path | None = None
-) -> list[tuple[ManifestEntry, DiffusionNetwork]]:
-    """Load every entry's network file; unresolvable paths are reported
-    together in one error listing the offending ids."""
-    loaded, bad = [], []
-    for entry in entries:
-        p = entry.resolve_path(base)
-        if not p.exists():
-            bad.append(entry.network_id)
-            continue
-        network = load_network(
-            p,
-            fmt="edgelist",
-            network_id=entry.network_id,
-            label=entry.label,
-            bias=entry.bias,
-            tweet_count=entry.tweet_count,
-        )
-        loaded.append((entry, network))
+def resolve_manifest_paths(entries: Sequence[ManifestEntry], base: Path | None = None) -> list[Path]:
+    """Each entry's network file; unresolvable paths are reported together
+    in one error listing the offending ids."""
+    paths = [entry.resolve_path(base) for entry in entries]
+    bad = [entry.network_id for entry, p in zip(entries, paths) if not p.exists()]
     if bad:
         raise DatasetError(f"unresolvable network paths for ids: {', '.join(sorted(bad))}")
-    return loaded
+    return paths
 
 
 def select_corpus(
@@ -261,12 +277,12 @@ def assemble(
         exclude_sources=exclude_sources,
     )
     samples = []
-    for entry, network in load_manifest_networks(kept, base=manifest_path.parent):
-        fv = extract_features(network, clustering=clustering)
+    for entry, path in zip(kept, resolve_manifest_paths(kept, base=manifest_path.parent)):
+        network = load_network(path, fmt="edgelist", network_id=entry.network_id)
         samples.append(
             Sample(
                 network_id=entry.network_id,
-                features=fv,
+                features=extract_features(network, clustering=clustering),
                 label=entry.label,
                 bias=entry.bias,
                 bucket=bucket_of(network),

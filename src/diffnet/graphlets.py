@@ -179,9 +179,16 @@ def network_correlations(network: DiffusionNetwork) -> np.ndarray:
 _UPPER = np.triu_indices(N_ORBITS, k=1)
 
 
-def dgcd_from_correlations(corr_a: np.ndarray, corr_b: np.ndarray) -> float:
-    """Euclidean distance between strictly-upper-triangular correlations."""
-    return float(np.linalg.norm(corr_a[_UPPER] - corr_b[_UPPER]))
+def dgcd_from_correlations(corr_a: np.ndarray, corr_b: np.ndarray) -> float | np.ndarray:
+    """Euclidean distance between strictly-upper-triangular correlations.
+
+    ``corr_b`` may also be a stack of shape (k, 13, 13): then ``corr_a`` is
+    compared with each matrix of the stack and the k distances are returned.
+    """
+    corr_b = np.asarray(corr_b)
+    if corr_b.ndim == 2:
+        return float(np.linalg.norm(corr_a[_UPPER] - corr_b[_UPPER]))
+    return np.linalg.norm(corr_a[_UPPER] - corr_b[:, _UPPER[0], _UPPER[1]], axis=1)
 
 
 def dgcd13(a: DiffusionNetwork, b: DiffusionNetwork) -> float:

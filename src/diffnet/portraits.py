@@ -15,6 +15,7 @@ base-2 logarithms, giving a value in [0, 1].
 from __future__ import annotations
 
 from collections import deque
+from typing import Sequence
 
 import numpy as np
 
@@ -93,9 +94,40 @@ def pair_distribution(b: np.ndarray) -> np.ndarray:
     return weighted / total
 
 
-def divergence_from_portraits(b1: np.ndarray, b2: np.ndarray) -> float:
-    """Jensen-Shannon divergence (base 2) of two pair-weighted portraits."""
-    b1, b2 = pad_portraits(np.asarray(b1), np.asarray(b2))
+def portrait_distributions(portraits: Sequence[np.ndarray]) -> np.ndarray:
+    """The pair distributions of several portraits as the rows of one array.
+
+    Padding adds mass only at k = 0, which ``pair_distribution`` weighs 0,
+    so every distribution lives on the cells (l, k), k >= 1, where some
+    portrait is nonzero. Column j holds the j-th of those cells in (l, k)
+    order. Rows compare through ``divergence_from_portraits``.
+    """
+    cols = max(b.shape[1] for b in portraits)
+    keys, masses = [], []
+    for b in portraits:
+        ell, k = np.nonzero(b[:, 1:])
+        k += 1
+        weighted = b[ell, k] * k.astype(np.float64)
+        keys.append(ell * cols + k)
+        masses.append(weighted / weighted.sum())
+    cells, column = np.unique(np.concatenate(keys), return_inverse=True)
+    rows = np.repeat(np.arange(len(portraits)), [len(k) for k in keys])
+    out = np.zeros((len(portraits), len(cells)))
+    out[rows, column] = np.concatenate(masses)
+    return out
+
+
+def divergence_from_portraits(b1: np.ndarray, b2: np.ndarray) -> float | np.ndarray:
+    """Jensen-Shannon divergence (base 2) of two pair-weighted portraits.
+
+    A 1-D ``b1`` is a row of ``portrait_distributions`` instead, compared
+    with every row of the 2-D ``b2`` from the same array; the divergences
+    are returned as an array.
+    """
+    b1 = np.asarray(b1)
+    if b1.ndim == 1:
+        return _divergence_rows(b1, np.asarray(b2))
+    b1, b2 = pad_portraits(b1, np.asarray(b2))
     p = pair_distribution(b1).ravel()
     q = pair_distribution(b2).ravel()
     m = 0.5 * (p + q)
@@ -105,6 +137,18 @@ def divergence_from_portraits(b1: np.ndarray, b2: np.ndarray) -> float:
         return float(np.sum(x[mask] * np.log2(x[mask] / m[mask])))
 
     return 0.5 * kl(p) + 0.5 * kl(q)
+
+
+def _divergence_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Divergences of the distribution ``p`` from each row of ``q``."""
+    support = p > 0
+    ps, qs = p[support], q[:, support]
+    ms = 0.5 * (ps + qs)
+    kl_p = np.sum(ps * np.log2(ps / ms), axis=1)
+    # off the support of p, m = q / 2: each q > 0 there adds q * log2(2) = q
+    kl_q = np.sum(qs * np.log2(np.where(qs > 0, qs, ms) / ms), axis=1)
+    kl_q += q[:, ~support].sum(axis=1)
+    return 0.5 * kl_p + 0.5 * kl_q
 
 
 def portrait_divergence(

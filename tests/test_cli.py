@@ -13,8 +13,10 @@ import pytest
 
 from diffnet import (
     Bias,
+    DiffnetError,
     FeatureVector,
     Label,
+    LogisticConfig,
     ManifestEntry,
     read_distance_matrix,
     read_feature_table,
@@ -24,6 +26,7 @@ from diffnet import (
     write_feature_table,
     write_manifest,
 )
+from diffnet import cli
 from diffnet.cli import (
     EXIT_FATAL,
     EXIT_OK,
@@ -374,6 +377,18 @@ def test_classify_writes_report_and_roc(tmp_path, capsys):
     assert {int(r.split(",")[0]) for r in rows[1:]} == set(range(10))
 
 
+def test_classify_warns_when_the_fit_stops_unconverged(tmp_path, capsys, monkeypatch):
+    ft = tmp_path / "features.csv"
+    write_labeled_table(ft)
+    monkeypatch.setattr(cli, "LogisticConfig", lambda: LogisticConfig(max_iter=1))
+
+    code = main(["classify", "--features", str(ft), "--out", str(tmp_path / "r.json")])
+
+    assert code == EXIT_OK
+    err = capsys.readouterr().err
+    assert "warning: logistic regression stopped after 1 iterations" in err
+
+
 def test_classify_knn(tmp_path, capsys):
     ft = tmp_path / "features.csv"
     write_labeled_table(ft)
@@ -578,10 +593,26 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() == 1
     monkeypatch.setenv("DIFFNET_WORKERS", "4")
     assert worker_count() == 4
-    monkeypatch.setenv("DIFFNET_WORKERS", "not-a-number")
-    assert worker_count() == 1
-    monkeypatch.setenv("DIFFNET_WORKERS", "-3")
-    assert worker_count() == 1
+    for bad in ("not-a-number", "0", "-3"):
+        monkeypatch.setenv("DIFFNET_WORKERS", bad)
+        with pytest.raises(DiffnetError, match="DIFFNET_WORKERS"):
+            worker_count()
+
+
+@pytest.mark.parametrize("bad", ["abc", "0", "-3"])
+def test_distances_rejects_bad_worker_count(tmp_path, capsys, monkeypatch, bad):
+    manifest = write_corpus(
+        tmp_path, [make_network(3, [(0, 1), (1, 2)], network_id=f"net-{i}") for i in range(2)]
+    )
+    monkeypatch.setenv("DIFFNET_WORKERS", bad)
+    out = tmp_path / "d.csv"
+
+    code = main(["distances", str(manifest), "--out", str(out)])
+
+    assert code == EXIT_FATAL
+    err = capsys.readouterr().err
+    assert "DIFFNET_WORKERS" in err and repr(bad) in err
+    assert not out.exists()
 
 
 def test_network_id_for_url_is_stable_and_filesystem_safe():

@@ -14,7 +14,10 @@ from diffnet import (
     SizeBucket,
     assemble,
     dataset_from_samples,
+    distance_matrix,
     extract_features,
+    network_correlations,
+    portrait,
     read_distance_matrix,
     read_feature_table,
     read_manifest,
@@ -164,6 +167,30 @@ def test_distance_matrix_non_finite_rejected(tmp_path):
     path.write_text("network_id,a,b\na,0.0,1.0\nb,nan,0.0\n")
     with pytest.raises(FileFormatError, match="d.csv:3: non-finite"):
         read_distance_matrix(path)
+
+
+def test_distance_matrix_extra_rows_rejected(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("network_id,a,b\na,0.0,1.0\nb,1.0,0.0\nc,2.0,3.0\n")
+    with pytest.raises(FileFormatError, match="d.csv:4: more rows than the 2 header ids"):
+        read_distance_matrix(path)
+
+
+@pytest.mark.parametrize("distance", ["dgcd13", "portrait"])
+def test_distance_matrix_of_one_and_two_signatures(distance):
+    signature = network_correlations if distance == "dgcd13" else portrait
+    path = signature(make_network(3, [(0, 1), (1, 2)]))
+    star = signature(make_network(4, [(0, 1), (0, 2), (0, 3)]))
+    assert np.array_equal(distance_matrix([path], distance), np.zeros((1, 1)))
+    two = distance_matrix([path, star], distance)
+    assert two.shape == (2, 2)
+    assert two[0, 0] == two[1, 1] == 0.0
+    assert two[0, 1] == two[1, 0] > 0.0
+
+
+def test_distance_matrix_unknown_distance_rejected():
+    with pytest.raises(ValueError, match="unknown distance"):
+        distance_matrix([np.eye(13)], "bogus")
 
 
 def test_distance_matrix_empty_rejected(tmp_path):

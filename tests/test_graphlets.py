@@ -16,11 +16,13 @@ from diffnet import (
     correlation_matrix,
     count_orbits,
     dgcd13,
+    dgcd_from_correlations,
+    distance_matrix,
     network_correlations,
 )
 
 import util
-from util import graphs, make_network
+from util import graphs, make_network, random_graph
 
 
 # --- catalog re-derivation by exhaustive enumeration ------------------------
@@ -306,3 +308,31 @@ def test_distance_invariant_under_relabeling(g, seed):
 def test_network_correlations_composes():
     net = make_network(3, [(0, 1), (1, 2)])
     assert np.array_equal(network_correlations(net), correlation_matrix(count_orbits(net)))
+
+
+# --- row kernel -------------------------------------------------------------
+
+
+def test_row_kernel_matches_pair_loop_with_exact_duplicates():
+    rng = np.random.default_rng(909)
+    networks = [make_network(1, []), make_network(2, [(0, 1)])] + [
+        make_network(*random_graph(rng, int(rng.integers(2, 10)), 0.3)) for _ in range(10)
+    ]
+    corrs = [network_correlations(net) for net in networks]
+    corrs.append(corrs[4].copy())  # a duplicate of entry 4
+    m = len(corrs)
+    want = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            want[i, j] = want[j, i] = dgcd_from_correlations(corrs[i], corrs[j])
+    stack = np.stack(corrs)
+    for i in range(m - 1):
+        got = dgcd_from_correlations(stack[i], stack[i + 1 :])
+        assert got.shape == (m - 1 - i,)
+        assert np.max(np.abs(got - want[i, i + 1 :])) <= 1e-12
+    matrix = distance_matrix(corrs, "dgcd13")
+    assert np.max(np.abs(matrix - want)) <= 1e-12
+    assert np.array_equal(matrix, matrix.T)
+    assert matrix[4, m - 1] == 0.0
+    others = [k for k in range(m) if k not in (4, m - 1)]
+    assert np.array_equal(matrix[4, others], matrix[m - 1, others])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -9,6 +11,8 @@ from hypothesis import assume, given, strategies as st
 
 from diffnet import (
     Bias,
+    ClassProfile,
+    ConvergenceWarning,
     EvalConfig,
     FeatureVector,
     Label,
@@ -19,7 +23,9 @@ from diffnet import (
     Sample,
     SizeBucket,
     evaluate,
+    extract_features,
     feature_ks_tests,
+    generate_ensemble,
     knn_predict,
     knn_predict_from_distances,
     ks_two_sample,
@@ -224,6 +230,49 @@ def test_fit_reaches_gradient_tolerance():
     model = logistic_fit(x, y)
     assert model.grad_norm <= 1e-8
     assert model.n_iter < 10_000
+
+
+def test_fit_without_ridge_tolerates_a_constant_column():
+    rng = np.random.default_rng(7)
+    x = np.column_stack([rng.normal(size=60), np.zeros(60)])
+    y = (x[:, 0] + rng.normal(size=60) > 0).astype(float)
+    model = logistic_fit(x, y, LogisticConfig(l2=0.0))
+    assert model.grad_norm <= 1e-8
+    assert model.weights[1] == 0.0
+
+
+def test_unconverged_fit_warns():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(40, 2))
+    y = (x[:, 0] + 0.3 * rng.normal(size=40) > 0).astype(float)
+    with pytest.warns(ConvergenceWarning, match="stopped after 1 iterations"):
+        model = logistic_fit(x, y, LogisticConfig(max_iter=1))
+    assert model.n_iter == 1
+    assert model.grad_norm > LogisticConfig().tol
+
+
+def test_newton_fit_converges_on_a_feature_table():
+    # 200 + 200 small-bucket networks, the many-small benchmark corpus of
+    # seed 0, and its ten CV folds. In one fold the loss stops resolving
+    # decreases at gradient norm ~1e-8, so a step that only lowers the
+    # gradient norm must still be taken.
+    networks = [
+        net
+        for profile, seed in ((ClassProfile.BROADCAST_LIKE, 1), (ClassProfile.CLUSTERED_LIKE, 2))
+        for net in generate_ensemble(profile, SizeBucket.D_0_100, count=200, seed=seed)
+    ]
+    networks.sort(key=lambda net: net.network_id)
+    x = np.vstack([extract_features(net).to_array() for net in networks])
+    y = np.array([1.0 if net.label is POSITIVE_LABEL else 0.0 for net in networks])
+    config = LogisticConfig()
+    for train, _ in stratified_shuffle_split(y, folds=10, seed=0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            model = logistic_fit(
+                standardize_apply(x[train], *standardize_fit(x[train])), y[train], config
+            )
+        assert model.n_iter < 50
+        assert model.grad_norm <= config.tol
 
 
 def test_logistic_input_validation():

@@ -8,14 +8,17 @@ from hypothesis import given, strategies as st
 
 from diffnet import (
     EmptyGraphError,
+    distance_matrix,
+    divergence_from_portraits,
     pad_portraits,
     pair_distribution,
     portrait,
+    portrait_distributions,
     portrait_divergence,
 )
 
 import util
-from util import graphs, make_network
+from util import graphs, make_network, random_graph
 
 
 # --- hand tables ------------------------------------------------------------
@@ -212,3 +215,63 @@ def test_divergence_zero_for_isomorphic_pairs(g, seed):
     mapping = {f"n{i:03d}": f"m{perm[i]:03d}" for i in range(n)}
     assert portrait_divergence(net, net.relabeled(mapping)) == 0.0
 
+
+# --- row kernel -------------------------------------------------------------
+
+
+def pair_loop(portraits):
+    """The per-pair divergence matrix, one padded pair at a time."""
+    m = len(portraits)
+    matrix = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            matrix[i, j] = matrix[j, i] = divergence_from_portraits(portraits[i], portraits[j])
+    return matrix
+
+
+def mixed_portraits():
+    """Portraits of mixed row and column counts, a single-node graph, and
+    two duplicates (the last two entries copy entries 2 and 5)."""
+    rng = np.random.default_rng(808)
+    networks = [
+        make_network(1, []),
+        make_network(2, [(0, 1)]),
+        make_network(7, [(i, i + 1) for i in range(6)]),  # many rows
+        make_network(9, [(0, i) for i in range(1, 9)]),  # wide columns
+    ] + [make_network(*random_graph(rng, int(rng.integers(2, 12)), 0.25)) for _ in range(8)]
+    found = [portrait(net) for net in networks]
+    found += [portrait(net, undirected=True) for net in networks[2:4]]
+    return found + [found[2].copy(), found[5].copy()]
+
+
+def test_row_kernel_matches_pair_loop():
+    found = mixed_portraits()
+    assert len({b.shape for b in found}) > 5
+    want = pair_loop(found)
+    rows = portrait_distributions(found)
+    for i in range(len(found) - 1):
+        got = divergence_from_portraits(rows[i], rows[i + 1 :])
+        assert np.max(np.abs(got - want[i, i + 1 :])) <= 1e-12
+    assert np.max(np.abs(distance_matrix(found, "portrait") - want)) <= 1e-12
+
+
+def test_distributions_hold_only_weighted_cells():
+    found = mixed_portraits()
+    rows = portrait_distributions(found)
+    assert np.allclose(rows.sum(axis=1), 1.0)
+    assert np.all(rows.any(axis=0))  # every shared cell carries mass somewhere
+    for b, row in zip(found, rows):
+        assert np.count_nonzero(row) == np.count_nonzero(b[:, 1:])
+
+
+def test_duplicate_portraits_are_exact_zero_and_exact_ties():
+    found = mixed_portraits()
+    matrix = distance_matrix(found, "portrait")
+    assert np.array_equal(matrix, matrix.T)
+    assert np.all(np.diag(matrix) == 0.0)
+    for a, b in ((2, len(found) - 2), (5, len(found) - 1)):
+        assert matrix[a, b] == 0.0
+        others = [k for k in range(len(found)) if k not in (a, b)]
+        assert np.array_equal(matrix[a, others], matrix[b, others])
+    rows = portrait_distributions(found)
+    assert divergence_from_portraits(rows[2], rows[-2:-1])[0] == 0.0

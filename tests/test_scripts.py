@@ -1,0 +1,46 @@
+"""Smoke tests: each experiment script's ``main`` runs on a tiny ensemble."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_script_has_a_smoke_test():
+    assert sorted(p.stem for p in SCRIPTS.glob("*.py")) == ["run_benchmark", "run_distance_benchmark"]
+
+
+def test_run_benchmark(tmp_path, capsys):
+    load_script("run_benchmark").main(
+        ["--count", "20", "--buckets", "0-100", "--control", "--out-dir", str(tmp_path)]
+    )
+    out = capsys.readouterr().out
+    assert "[0-100] lr: mean AUC" in out
+    assert "[0-100] knn: mean AUC" in out
+    assert "shuffled-label control" in out
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == ["benchmark-0-100-knn.json", "benchmark-0-100-lr.json"]
+
+
+@pytest.mark.parametrize("metric", ["dgcd13", "portrait"])
+def test_run_distance_benchmark(tmp_path, capsys, metric):
+    out = tmp_path / "report.json"
+    load_script("run_distance_benchmark").main(
+        ["--count", "20", "--bucket", "0-100", "--metric", metric, "--out", str(out)]
+    )
+    assert f"{metric} knn (k=10): mean AUC" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["n_samples"] == 40
+    assert report["config"]["classifier"] == "knn-distance"
