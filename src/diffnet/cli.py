@@ -35,6 +35,7 @@ from .graphs import (
     Label,
     SizeBucket,
     build_network,
+    check_node_names,
     group_events_by_url,
     load_network,
     read_events,
@@ -112,7 +113,12 @@ def network_id_for_url(url: str) -> str:
 
 def _write_corpus(out_dir: Path, networks: list[DiffusionNetwork]) -> Path:
     """Save each network as ``<id>.edges``/``<id>.nodes`` in out_dir and merge
-    its entry into out_dir/manifest.csv, newer rows replacing same ids."""
+    its entry into out_dir/manifest.csv, newer rows replacing same ids.
+
+    Every node name is checked before any file is written, so a name the
+    edge list cannot carry leaves out_dir as it was."""
+    for network in networks:
+        check_node_names(network, out_dir / f"{network.network_id}.edges")
     manifest_path = out_dir / "manifest.csv"
     merged: dict[str, ds.ManifestEntry] = {}
     if manifest_path.exists():

@@ -10,14 +10,13 @@ else works on the undirected simple projection.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import EmptyGraphError
-from .graphs import DiffusionNetwork
+from .graphs import DiffusionNetwork, bfs_layers
 
 FEATURE_NAMES = ("scc", "lscc", "wcc", "lwcc", "dwcc", "cc", "kc")
 
@@ -105,24 +104,12 @@ def strongly_connected_component_sizes(network: DiffusionNetwork) -> list[int]:
 def weakly_connected_components(network: DiffusionNetwork) -> list[list[int]]:
     """Node-index lists of the WCCs (connectivity ignoring edge direction)."""
     _require_nonempty(network)
-    n = network.n_nodes
     und = network.und_lists
-    seen = [False] * n
+    dist = [-1] * network.n_nodes  # never reset: a reached node is in a component
     components: list[list[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in und[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        components.append(comp)
+    for start in range(network.n_nodes):
+        if dist[start] < 0:
+            components.append(bfs_layers(und, [start], dist)[1])
     return components
 
 
@@ -133,33 +120,56 @@ def component_features(network: DiffusionNetwork) -> tuple[int, int, int, int]:
     return len(scc_sizes), max(scc_sizes), len(wccs), max(len(c) for c in wccs)
 
 
-def _bfs_eccentricity(und, start: int) -> int:
-    dist = {start: 0}
-    queue = deque([start])
-    ecc = 0
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in und[u]:
-            if v not in dist:
-                dist[v] = du + 1
-                ecc = max(ecc, du + 1)
-                queue.append(v)
-    return ecc
-
-
 def lwcc_diameter(network: DiffusionNetwork) -> int:
     """Diameter of the largest WCC in its undirected view (0 for a singleton).
 
     Directed eccentricities inside a weakly connected digraph can be
     infinite, so the undirected view is the only total definition.
+
+    Exact, by BoundingDiameters (Takes & Kosters, CIKM 2011): every
+    candidate node keeps a lower and an upper bound on its eccentricity,
+    and each BFS tightens them all. A BFS from ``s`` with eccentricity
+    ``e`` puts a node at distance ``d`` within ``[max(d, e - d), e + d]``.
+    A candidate leaves once its bounds meet, or once it can neither raise
+    the diameter's lower bound nor lower its upper bound. The sources
+    alternate between the smallest lower and the largest upper bound.
+    Nodes with the same neighbour set share their eccentricity (swapping
+    them is an automorphism), so one of each such set is a candidate.
     """
     wccs = weakly_connected_components(network)
     largest = max(wccs, key=len)
     if len(largest) == 1:
         return 0
     und = network.und_lists
-    return max(_bfs_eccentricity(und, s) for s in largest)
+    n = network.n_nodes
+    dist = [-1] * n
+    lo = [0] * n
+    hi = [n] * n
+    d_lo, d_hi = 0, n
+    candidates = list({und[v]: v for v in largest}.values())
+    pick_high = False
+    while d_lo < d_hi and candidates:
+        # ties go to the higher degree, then the lower index
+        if pick_high:
+            s = max(candidates, key=lambda w: (hi[w], len(und[w]), -w))
+        else:
+            s = min(candidates, key=lambda w: (lo[w], -len(und[w]), w))
+        pick_high = not pick_high
+        counts, visited = bfs_layers(und, [s], dist)
+        e = len(counts) - 1
+        for w in candidates:
+            d = dist[w]
+            lo[w] = max(lo[w], d, e - d)
+            hi[w] = min(hi[w], e + d)
+        for v in visited:
+            dist[v] = -1
+        d_lo = max(d_lo, max(lo[w] for w in candidates))
+        d_hi = min(d_hi, max(hi[w] for w in candidates))
+        candidates = [
+            w for w in candidates
+            if lo[w] < hi[w] and (hi[w] > d_lo or 2 * lo[w] < d_hi)
+        ]
+    return d_lo
 
 
 def local_clustering(network: DiffusionNetwork, variant: ClusteringVariant = ClusteringVariant.UNDIRECTED) -> np.ndarray:

@@ -9,6 +9,7 @@ to, quoted or mentioned; they are preserved by every operation here.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -76,7 +77,7 @@ class SizeBucket(Enum):
         return SizeBucket.from_node_count(n) is self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteractionEvent:
     """One typed interaction extracted from a tweet.
 
@@ -189,6 +190,39 @@ class DiffusionNetwork:
         )
 
 
+def bfs_layers(
+    adj: Sequence[Sequence[int]], sources: Sequence[int], dist: list[int]
+) -> tuple[list[int], list[int]]:
+    """Breadth-first search from all of ``sources`` at once over ``adj``.
+
+    ``dist`` must hold -1 for every node the search can reach. Each
+    reached node's distance to the nearest source is written into it; to
+    reuse ``dist`` for another search, reset those entries to -1 through
+    the visited list. Returns the layer sizes (``counts[d]`` nodes at
+    distance d; ``counts[0]`` is the number of sources) and the reached
+    nodes, layer by layer.
+    """
+    frontier = list(sources)
+    for s in frontier:
+        dist[s] = 0
+    visited = frontier[:]
+    counts = [len(frontier)]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = d
+                    nxt.append(v)
+        if nxt:
+            counts.append(len(nxt))
+            visited += nxt
+        frontier = nxt
+    return counts, visited
+
+
 def interaction_edge(event: InteractionEvent, direction: EdgeDirection) -> tuple[str, str] | None:
     """Directed edge realized by one event, or None for originals/self-interactions."""
     if event.interaction is Interaction.ORIGINAL:
@@ -263,12 +297,13 @@ def parse_event(obj: Mapping) -> InteractionEvent:
     except ValueError:
         raise MalformedEventError(f"unknown interaction type {obj['interaction']!r}") from None
     target = obj.get("target_user")
+    # users and URLs repeat across events: interning keeps one copy of each
     return InteractionEvent(
         tweet_id=str(obj["tweet_id"]),
-        user=str(obj["user"]),
-        target_user=None if target is None else str(target),
+        user=sys.intern(str(obj["user"])),
+        target_user=None if target is None else sys.intern(str(target)),
         interaction=interaction,
-        url=str(obj["url"]),
+        url=sys.intern(str(obj["url"])),
         timestamp=float(obj["timestamp"]),
     )
 
@@ -309,9 +344,41 @@ def group_events_by_url(events: Iterable[InteractionEvent]) -> dict[str, list[In
 DIRECTED_HEADER = "#directed"
 
 
+def _unwritable_reason(name: str) -> str | None:
+    """Why ``load_network`` would not read ``name`` back unchanged, if so."""
+    if not name:
+        return "it is empty"
+    if name.startswith("#"):
+        return "a line starting with '#' is a comment"
+    if name != name.strip():
+        return "it has leading or trailing whitespace"
+    if "\t" in name or "\n" in name or "\r" in name:
+        return "it contains a tab or a line break"
+    return None
+
+
+def check_node_names(network: DiffusionNetwork, edges_path) -> None:
+    """Raise :class:`FileFormatError` naming the first node of ``network``
+    that the edge list at ``edges_path`` cannot carry: an empty name, one
+    starting with ``#``, with leading or trailing whitespace, or containing
+    a tab or a line break."""
+    for u in network.sorted_nodes:
+        reason = _unwritable_reason(u)
+        if reason is not None:
+            raise FileFormatError(
+                f"cannot write node {u!r} of network {network.network_id!r}: {reason}",
+                path=Path(edges_path),
+            )
+
+
 def save_network(network: DiffusionNetwork, edges_path, nodes_path=None) -> None:
-    """Write ``src<TAB>dst`` lines plus a node manifest preserving isolates."""
+    """Write ``src<TAB>dst`` lines plus a node manifest preserving isolates.
+
+    A node name the edge list cannot carry raises :class:`FileFormatError`
+    (see ``check_node_names``) before anything is written.
+    """
     edges_path = Path(edges_path)
+    check_node_names(network, edges_path)
     with edges_path.open("w", encoding="utf-8") as fh:
         fh.write(DIRECTED_HEADER + "\n")
         for u, v in sorted(network.edges):

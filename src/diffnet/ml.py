@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -378,17 +378,10 @@ class EvalConfig:
     logistic: LogisticConfig = field(default_factory=LogisticConfig)
 
     def to_dict(self) -> dict:
-        return {
-            "classifier": self.classifier,
-            "k": self.k,
-            "folds": self.folds,
-            "test_fraction": self.test_fraction,
-            "seed": self.seed,
-            "threshold": self.threshold,
-            "l2": self.logistic.l2,
-            "tol": self.logistic.tol,
-            "max_iter": self.logistic.max_iter,
-        }
+        """Every field in declaration order, ``logistic`` replaced by its fields."""
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "logistic"}
+        values.update(asdict(self.logistic))
+        return values
 
 
 @dataclass(frozen=True)

@@ -14,17 +14,49 @@ base-2 logarithms, giving a value in [0, 1].
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyGraphError
-from .graphs import DiffusionNetwork
+from .graphs import DiffusionNetwork, bfs_layers
+
+
+def shell_counts(network: DiffusionNetwork, undirected: bool = False) -> list[list[int]]:
+    """Per node, the number of nodes at distance 0, 1, ..., its eccentricity.
+
+    Distances follow edge direction unless ``undirected`` is set. Nodes
+    with the same neighbour set S share one multi-source BFS from S (the
+    identical-vertex compression of Sariyuce et al., SDM 2013): every
+    other node w is at distance 1 + dist(S, w) from each of them, so a
+    member's shells are ``[1]`` followed by that BFS's layer sizes, less
+    the member itself at its own layer. This holds for a class of one and
+    for an empty S too (that BFS has the one layer ``[0]``).
+    """
+    n = network.n_nodes
+    adj = network.und_lists if undirected else network.out_lists
+    twins: dict[tuple[int, ...], list[int]] = {}
+    for v in range(n):
+        twins.setdefault(adj[v], []).append(v)
+
+    shells: list[list[int]] = [[]] * n
+    dist = [-1] * n
+    for nbrs, members in twins.items():
+        layers, visited = bfs_layers(adj, nbrs, dist)
+        for v in members:
+            counts = [1] + layers
+            if dist[v] >= 0:
+                counts[dist[v] + 1] -= 1
+            if counts[-1] == 0:
+                counts.pop()
+            shells[v] = counts
+        for u in visited:
+            dist[u] = -1
+    return shells
 
 
 def portrait(network: DiffusionNetwork, undirected: bool = False) -> np.ndarray:
-    """Shortest-path shell histogram matrix via per-source BFS.
+    """Shortest-path shell histogram matrix, tallied from ``shell_counts``.
 
     Distances follow edge direction unless ``undirected`` is set. Rows run
     from l = 0 to the largest finite eccentricity; columns from k = 0 to
@@ -33,32 +65,8 @@ def portrait(network: DiffusionNetwork, undirected: bool = False) -> np.ndarray:
     if network.n_nodes == 0:
         raise EmptyGraphError(f"network {network.network_id!r} has no nodes")
     n = network.n_nodes
-    adj = network.und_lists if undirected else network.out_lists
-
-    # shells[source] = count of nodes per distance, contiguous from 0
-    shells: list[list[int]] = []
-    max_ecc = 0
-    dist = [-1] * n
-    for source in range(n):
-        dist[source] = 0
-        queue = deque([source])
-        counts = [1]
-        visited = [source]
-        while queue:
-            u = queue.popleft()
-            du1 = dist[u] + 1
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = du1
-                    visited.append(v)
-                    if du1 == len(counts):
-                        counts.append(0)
-                    counts[du1] += 1
-                    queue.append(v)
-        for v in visited:
-            dist[v] = -1
-        shells.append(counts)
-        max_ecc = max(max_ecc, len(counts) - 1)
+    shells = shell_counts(network, undirected)
+    max_ecc = max(len(counts) for counts in shells) - 1
 
     b = np.zeros((max_ecc + 1, max(n, 2)), dtype=np.int64)
     for counts in shells:

@@ -152,6 +152,33 @@ def test_build_empty_events_file_is_fatal(tmp_path, capsys):
     assert "error: no events in" in capsys.readouterr().err
 
 
+def test_build_rejects_a_user_name_the_edge_list_cannot_carry(tmp_path, capsys):
+    # the bad name sits in the second network written, so a check made only
+    # while saving would already have written the first network's files
+    out_dir = tmp_path / "nets"
+    good_path = tmp_path / "good.jsonl"
+    write_events(good_path, [event("t0", "zed", "original", URL_B, ts=0.5)])
+    assert main(["build", str(good_path), "--out-dir", str(out_dir)]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    events_path = tmp_path / "events.jsonl"
+    write_events(events_path, [
+        event("t1", "alice", "original", URL_A, ts=1.0),
+        event("t2", "bob", "retweet", URL_A, target="alice", ts=2.0),
+        event("t3", "#carol", "original", URL_B, ts=3.0),
+        event("t4", "dan", "retweet", URL_B, target="#carol", ts=4.0),
+    ])
+    capsys.readouterr()
+
+    code = main(["build", str(events_path), "--out-dir", str(out_dir)])
+
+    assert code == EXIT_FATAL
+    err = capsys.readouterr().err
+    assert "error: " in err
+    assert "cannot write node '#carol'" in err
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
 def test_build_skips_malformed_lines(tmp_path, capsys):
     good = two_story_events()[:2]
     events_path = tmp_path / "events.jsonl"

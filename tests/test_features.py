@@ -54,6 +54,13 @@ def test_star_with_five_leaves_diameter():
     assert lwcc_diameter(make_network(6, [(0, i) for i in range(1, 6)])) == 2
 
 
+def test_diameter_candidates_share_undirected_not_out_neighbours():
+    # sinks 1, 3 and 4 share an empty out-set but not their undirected
+    # neighbours; the diameter is the distance from 1 to 4
+    arcs = [(0, 4), (0, 5), (0, 6), (2, 5), (2, 6), (5, 1), (5, 3), (6, 3), (6, 4), (6, 5)]
+    assert lwcc_diameter(make_network(7, arcs)) == 3
+
+
 def test_singleton_component_diameter_zero():
     assert lwcc_diameter(make_network(1, [])) == 0
 
@@ -114,6 +121,52 @@ def test_empty_graph_raises():
 def test_features_match_naive_oracles(g):
     n, arcs = g
     util.oracle_feature_check(n, arcs, extract_features(make_network(n, arcs)))
+
+
+def _diameter_graph(shape: str, rng: np.random.Generator):
+    """(n, arcs) of 30-300 nodes with the named undirected shape, randomly
+    oriented (some edges both ways) and randomly numbered."""
+    n = int(rng.integers(30, 301))
+    if shape == "path":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif shape == "cycle":
+        edges = [(i, (i + 1) % n) for i in range(n)]
+    elif shape == "star":
+        edges = [(0, i) for i in range(1, n)]
+    elif shape == "hubs-sharing-leaves":
+        hubs = int(rng.integers(2, 6))
+        n, edges = util.hubs_sharing_leaves(rng, hubs, n - hubs)
+    elif shape == "equal-components":
+        # a path, a star and a random tree of one size: tied largest WCCs
+        # with different diameters
+        size = n // 3
+        edges = [(i, i + 1) for i in range(size - 1)]
+        edges += [(size, size + i) for i in range(1, size)]
+        edges += [(2 * size + int(rng.integers(0, i)), 2 * size + i) for i in range(1, size)]
+    else:  # sparse random core with pendant stars hung off it
+        core = n // 3
+        edges = [(int(rng.integers(0, v)), v) for v in range(1, core)]
+        edges += [(int(rng.integers(0, core)), int(rng.integers(0, core))) for _ in range(core // 4)]
+        edges = [(u, v) for u, v in set(edges) if u != v]
+        centre = core
+        while centre < n:
+            edges.append((int(rng.integers(0, core)), centre))
+            leaves = range(centre + 1, min(n, centre + 1 + int(rng.integers(0, 12))))
+            edges += [(centre, leaf) for leaf in leaves]
+            centre += 1 + len(leaves)
+    return util.orient(rng, n, set(edges), reciprocal_p=0.2)
+
+
+DIAMETER_SHAPES = (
+    "path", "cycle", "star", "hubs-sharing-leaves", "equal-components", "sparse-with-pendant-stars",
+)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shape", DIAMETER_SHAPES)
+def test_diameter_matches_oracle_on_larger_graphs(shape, seed):
+    n, arcs = _diameter_graph(shape, np.random.default_rng([seed, DIAMETER_SHAPES.index(shape)]))
+    assert lwcc_diameter(make_network(n, arcs)) in util.oracle_dwcc_values(n, arcs)
 
 
 @given(graphs(max_nodes=7))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -265,6 +266,36 @@ def test_edge_list_roundtrip_preserves_isolates(tmp_path):
     save_network(net, edges_path, nodes_path=tmp_path / "rt.nodes")
     loaded = load_network(edges_path)
     assert loaded.nodes == net.nodes  # C restored from the node manifest
+    assert loaded.edges == net.edges
+
+
+@pytest.mark.parametrize(
+    "bad, edges",
+    [
+        ("", set()),
+        ("#a", {("#a", "b")}),
+        (" c", {("b", " c")}),
+        ("c ", set()),
+        ("a\tb", {("a\tb", "b")}),
+        ("a\nb", set()),
+        ("a\rb", {("b", "a\rb")}),
+    ],
+    ids=["empty", "hash", "leading-space", "trailing-space", "tab", "newline", "return"],
+)
+def test_save_rejects_names_the_edge_list_cannot_carry(tmp_path, bad, edges):
+    net = DiffusionNetwork(network_id="bad", nodes={bad, "b"}, edges=edges)
+    edges_path = tmp_path / "bad.edges"
+    with pytest.raises(FileFormatError, match="cannot write node " + re.escape(repr(bad))):
+        save_network(net, edges_path, nodes_path=tmp_path / "bad.nodes")
+    assert not edges_path.exists()
+    assert not (tmp_path / "bad.nodes").exists()
+
+
+def test_save_keeps_inner_spaces_and_hashes(tmp_path):
+    net = DiffusionNetwork(network_id="ok", nodes={"a b", "c#d", "e"}, edges={("a b", "c#d")})
+    save_network(net, tmp_path / "ok.edges", nodes_path=tmp_path / "ok.nodes")
+    loaded = load_network(tmp_path / "ok.edges")
+    assert loaded.nodes == net.nodes
     assert loaded.edges == net.edges
 
 

@@ -668,3 +668,18 @@ def test_evaluate_standardizes_on_train_only():
         leaky = logistic_predict(model_l, standardize_apply(x[test], *leaky_fit))
         gaps.append(np.max(np.abs(clean - leaky)))
     assert max(gaps) > 0.05
+
+
+def test_eval_config_dict_flattens_the_logistic_settings():
+    config = EvalConfig(
+        classifier="knn", k=5, folds=3, test_fraction=0.2, seed=7, threshold=0.4,
+        logistic=LogisticConfig(l2=0.5, tol=1e-6, max_iter=7),
+    )
+    values = config.to_dict()
+    assert list(values) == [
+        "classifier", "k", "folds", "test_fraction", "seed", "threshold", "l2", "tol", "max_iter",
+    ]
+    assert values == {
+        "classifier": "knn", "k": 5, "folds": 3, "test_fraction": 0.2, "seed": 7,
+        "threshold": 0.4, "l2": 0.5, "tol": 1e-6, "max_iter": 7,
+    }

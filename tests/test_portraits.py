@@ -16,6 +16,7 @@ from diffnet import (
     portrait_distributions,
     portrait_divergence,
 )
+from diffnet.portraits import shell_counts
 
 import util
 from util import graphs, make_network, random_graph
@@ -116,6 +117,49 @@ def test_portrait_matches_bfs_oracle(g, undirected):
     n, arcs = g
     b = portrait(make_network(n, arcs), undirected=undirected)
     assert util.portrait_to_dict(b) == util.oracle_portrait(n, arcs, undirected=undirected)
+
+
+@given(graphs(max_nodes=8), st.booleans())
+def test_shell_counts_match_per_source_bfs(g, undirected):
+    n, arcs = g
+    assert shell_counts(make_network(n, arcs), undirected) == util.oracle_shells(n, arcs, undirected)
+
+
+def _twin_graphs() -> dict[str, tuple[int, list[tuple[int, int]]]]:
+    """Graphs where most nodes share their neighbour set with another node."""
+    rng = np.random.default_rng(6)
+    k = 40
+    return {
+        "out-star": (k + 1, [(0, i) for i in range(1, k + 1)]),
+        "in-star": (k + 1, [(i, 0) for i in range(1, k + 1)]),
+        "two-way-star": (k + 1, [a for i in range(1, k + 1) for a in ((0, i), (i, 0))]),
+        "k-7-5": (12, [(a, b) for a in range(7) for b in range(7, 12)]),
+        "k-7-5-both-ways": (12, [a for u in range(7) for v in range(7, 12) for a in ((u, v), (v, u))]),
+        # a root whose out-stars have sinks for leaves
+        "out-star-tree": (1 + 4 + 4 * 9, [(0, c) for c in range(1, 5)]
+                          + [(c, 5 + 9 * (c - 1) + j) for c in range(1, 5) for j in range(9)]),
+        "hubs-sharing-leaves-reciprocated": util.orient(
+            rng, *util.hubs_sharing_leaves(rng, 4, 60), reciprocal_p=0.5
+        ),
+        # members 0-5 share the out-set {6, 7}, which reaches member 0 in one
+        # step and member 1 in two: member 1 is alone in the shared BFS's last
+        # layer, so its own shells end one layer earlier
+        "twins-reached-back": (9, [(m, s) for m in range(6) for s in (6, 7)]
+                               + [(6, 0), (7, 8), (8, 1)]),
+    }
+
+
+TWIN_GRAPHS = _twin_graphs()
+
+
+@pytest.mark.parametrize("undirected", [False, True], ids=["directed", "undirected"])
+@pytest.mark.parametrize("name", sorted(TWIN_GRAPHS))
+def test_twin_class_portraits_match_oracle(name, undirected):
+    n, arcs = TWIN_GRAPHS[name]
+    net = make_network(n, arcs)
+    b = portrait(net, undirected=undirected)
+    assert util.portrait_to_dict(b) == util.oracle_portrait(n, arcs, undirected=undirected)
+    assert shell_counts(net, undirected) == util.oracle_shells(n, arcs, undirected)
 
 
 @given(graphs(max_nodes=7), st.integers(0, 10_000))

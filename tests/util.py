@@ -48,6 +48,30 @@ def graphs(draw, min_nodes: int = 1, max_nodes: int = 8):
     return n, arcs
 
 
+def orient(rng: np.random.Generator, n: int, edges, reciprocal_p: float = 0.0):
+    """(n, arcs) from undirected ``edges``: each edge gets a random direction,
+    or both with probability ``reciprocal_p``, and the nodes a random order."""
+    perm = rng.permutation(n)
+    arcs = []
+    for u, v in edges:
+        u, v = int(perm[u]), int(perm[v])
+        if rng.random() < reciprocal_p:
+            arcs += [(u, v), (v, u)]
+        else:
+            arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+    return n, arcs
+
+
+def hubs_sharing_leaves(rng: np.random.Generator, hubs: int, leaves: int):
+    """Undirected edges of ``hubs`` hubs, each leaf joined to one to three of
+    them, so many leaves share a neighbour set."""
+    edges = []
+    for leaf in range(hubs, hubs + leaves):
+        for h in rng.choice(hubs, size=int(rng.integers(1, min(3, hubs) + 1)), replace=False):
+            edges.append((int(h), leaf))
+    return hubs + leaves, edges
+
+
 def adjacency(n: int, arcs) -> np.ndarray:
     a = np.zeros((n, n), dtype=bool)
     for u, v in arcs:
@@ -285,6 +309,28 @@ def oracle_portrait(n: int, arcs, undirected: bool = False) -> dict[tuple[int, i
             k = h.get(ell, 0)
             b[(ell, k)] = b.get((ell, k), 0) + 1
     return b
+
+
+def oracle_shells(n: int, arcs, undirected: bool = False) -> list[list[int]]:
+    """Per source, the node count at each distance up to its eccentricity,
+    from one BFS per source."""
+    adj = {u: set() for u in range(n)}
+    for u, v in arcs:
+        adj[u].add(v)
+        if undirected:
+            adj[v].add(u)
+    shells = []
+    for s in range(n):
+        seen = {s}
+        layers = [[s]]
+        while True:
+            nxt = {v for u in layers[-1] for v in adj[u]} - seen
+            if not nxt:
+                break
+            seen |= nxt
+            layers.append(sorted(nxt))
+        shells.append([len(layer) for layer in layers])
+    return shells
 
 
 def portrait_to_dict(b: np.ndarray) -> dict[tuple[int, int], int]:
