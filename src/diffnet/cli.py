@@ -41,7 +41,7 @@ from .graphs import (
     read_events,
     save_network,
 )
-from .graphlets import LARGE_NETWORK_THRESHOLD, LargeNetworkWarning, network_correlations
+from .graphlets import LARGE_NETWORK_THRESHOLD, network_correlations
 from .ml import (
     ConvergenceWarning,
     EvalConfig,
@@ -214,9 +214,7 @@ def _signature_task(task: tuple[Path, str, RunConfig]) -> np.ndarray | None:
         return portrait(network, undirected=config.portrait_undirected)
     if not config.include_large and network.n_nodes >= LARGE_NETWORK_THRESHOLD:
         return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LargeNetworkWarning)
-        return network_correlations(network)
+    return network_correlations(network)
 
 
 def _map_tasks(fn, items, workers: int):

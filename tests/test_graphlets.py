@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 from diffnet import (
     CATALOG,
     N_ORBITS,
-    LargeNetworkWarning,
     correlation_matrix,
     count_orbits,
     dgcd13,
@@ -182,10 +181,76 @@ def test_orbit_rows_permute_under_relabeling(g, seed):
     assert sorted(map(tuple, base.tolist())) == sorted(map(tuple, relabeled.tolist()))
 
 
-def test_large_network_warns():
-    arcs = [(i, i + 1) for i in range(1100)]
-    with pytest.warns(LargeNetworkWarning):
-        count_orbits(make_network(1101, arcs))
+# --- orbit counting beyond the hypothesis sizes -----------------------------
+
+
+def _hubs_with_replies(rng, hubs: int, leaves: int):
+    """Hubs sharing leaves, the hubs joined to each other and some leaves
+    of one hub joined to each other, so wedges close into triangles."""
+    n, edges = util.hubs_sharing_leaves(rng, hubs, leaves)
+    edges += list(combinations(range(hubs), 2))
+    for h in range(hubs):
+        fans = sorted({leaf for u, leaf in edges if u == h and leaf >= hubs})
+        edges += [(x, y) for x, y in combinations(fans, 2) if rng.random() < 0.05]
+    return n, set(edges)
+
+
+@pytest.mark.parametrize(
+    "reciprocal_p, hubs, leaves", [(0.0, 2, 18), (0.2, 3, 47), (0.5, 4, 60)]
+)
+def test_orbit_counts_of_hubs_sharing_leaves_match_oracle(reciprocal_p, hubs, leaves):
+    rng = np.random.default_rng(hubs)
+    n, arcs = util.orient(rng, *_hubs_with_replies(rng, hubs, leaves), reciprocal_p)
+    counts = count_orbits(make_network(n, arcs))
+    assert np.array_equal(counts, util.oracle_orbit_counts(n, arcs))
+    assert counts[:, 9:].sum() > 0
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.8])
+def test_orbit_counts_of_dense_random_graphs_match_oracle(p):
+    rng = np.random.default_rng(int(p * 10))
+    for n in (20, 26):
+        n, arcs = random_graph(rng, n, p)
+        counts = count_orbits(make_network(n, arcs))
+        assert np.array_equal(counts, util.oracle_orbit_counts(n, arcs))
+        assert counts[:, 9:].sum() > 0
+
+
+@pytest.mark.parametrize("reciprocal_p", [0.0, 0.1, 0.4])
+def test_orbit_counts_of_complete_graphs_match_oracle(reciprocal_p):
+    rng = np.random.default_rng(17)
+    n, arcs = util.orient(rng, 20, combinations(range(20), 2), reciprocal_p)
+    counts = count_orbits(make_network(n, arcs))
+    assert np.array_equal(counts, util.oracle_orbit_counts(n, arcs))
+    # every triple is a triangle: no wedge is induced
+    assert counts[:, 2:9].sum() == 0
+
+
+STAR_LEAVES = 20_000
+
+
+@pytest.mark.parametrize("direction", ["out", "in", "both"])
+def test_star_with_twenty_thousand_leaves(direction):
+    spokes = [(0, x) for x in range(1, STAR_LEAVES + 1)]
+    reversed_spokes = [(x, 0) for _, x in spokes]
+    arcs = {"out": spokes, "in": reversed_spokes, "both": spokes + reversed_spokes}[direction]
+    net = make_network(STAR_LEAVES + 1, arcs)
+    counts = count_orbits(net)
+    hub = net.node_index[util.node_name(0)]
+    is_leaf = np.arange(net.n_nodes) != hub
+    expected = np.zeros((net.n_nodes, N_ORBITS), dtype=np.int64)
+    if direction == "out":
+        expected[hub, [0, 2]] = STAR_LEAVES, STAR_LEAVES * (STAR_LEAVES - 1) // 2
+        expected[is_leaf, 1] = 1
+        expected[is_leaf, 3] = STAR_LEAVES - 1
+    elif direction == "in":
+        expected[hub, [1, 8]] = STAR_LEAVES, STAR_LEAVES * (STAR_LEAVES - 1) // 2
+        expected[is_leaf, 0] = 1
+        expected[is_leaf, 7] = STAR_LEAVES - 1
+    else:
+        expected[hub, [0, 1]] = STAR_LEAVES
+        expected[is_leaf, 0] = expected[is_leaf, 1] = 1
+    assert np.array_equal(counts, expected)
 
 
 # --- correlations -----------------------------------------------------------
