@@ -9,6 +9,7 @@ feature vectors.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TypeVar
@@ -145,16 +146,27 @@ def read_feature_table(path: str | Path) -> list[Sample]:
 # --- distance matrices ------------------------------------------------------
 
 
+def _csv_field(text: str) -> str:
+    """``text`` quoted as ``csv.writer`` writes it next to other fields."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
 def write_distance_matrix(ids: Sequence[str], matrix: np.ndarray, path: str | Path) -> None:
-    """Square CSV with the network ids as both header row and first column."""
+    """Square CSV with the network ids as both header row and first column.
+
+    Cells hold ``repr`` of each value. Value text never needs csv
+    quoting, so each row is one join; rows are formatted one at a time,
+    so memory holds one row of text.
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.shape != (len(ids), len(ids)):
         raise ValueError(f"matrix shape {matrix.shape} does not match {len(ids)} ids")
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["network_id", *ids])
-        for i, network_id in enumerate(ids):
-            writer.writerow([network_id] + [repr(float(v)) for v in matrix[i]])
+        csv.writer(fh).writerow(["network_id", *ids])
+        for network_id, row in zip(ids, matrix):
+            fh.write(_csv_field(network_id) + "," + ",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def read_distance_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:

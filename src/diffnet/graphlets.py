@@ -197,7 +197,7 @@ def correlation_matrix(counts: np.ndarray) -> np.ndarray:
     if counts.shape[0] < 1:
         raise ValueError("orbit count matrix needs at least one row")
     padded = np.vstack([counts, np.ones((1, N_ORBITS), dtype=counts.dtype)])
-    ranks = np.column_stack([average_ranks(padded[:, k]) for k in range(N_ORBITS)])
+    ranks = average_ranks(padded)
     # ranks are half-integers with mean (rows + 1) / 2, so every product
     # and sum below is exact and independent of summation order
     centered = ranks - ranks.mean(axis=0)

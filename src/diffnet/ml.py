@@ -272,10 +272,25 @@ def stratified_shuffle_split(
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned their average rank."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    return (ends - (counts - 1) / 2)[inverse]
+    """1-based ranks with ties assigned their average rank.
+
+    A 2-D ``values`` is ranked column by column, all columns in one
+    stable sort.
+    """
+    values = np.asarray(values)
+    columns = values.reshape(len(values), -1)
+    order = np.argsort(columns, axis=0, kind="stable")
+    ordered = np.take_along_axis(columns, order, axis=0)
+    rows = np.arange(len(columns))[:, None]
+    tied = np.zeros(columns.shape, dtype=bool)  # tied[i]: row i ties row i - 1
+    tied[1:] = ordered[1:] == ordered[:-1]
+    first = np.maximum.accumulate(np.where(tied, 0, rows), axis=0)
+    ends = np.ones(columns.shape, dtype=bool)  # ends[i]: row i ends its tie group
+    ends[:-1] = ~tied[1:]
+    last = np.minimum.accumulate(np.where(ends, rows, len(columns))[::-1], axis=0)[::-1]
+    ranks = np.empty(columns.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2 + 1, axis=0)
+    return ranks.reshape(values.shape)
 
 
 class RocCurve(NamedTuple):

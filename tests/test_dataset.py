@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,28 @@ def test_distance_matrix_roundtrip(tmp_path):
     loaded_ids, loaded = read_distance_matrix(path)
     assert loaded_ids == ids
     assert np.array_equal(loaded, matrix)  # repr round-trips doubles exactly
+
+
+def test_distance_matrix_bytes_match_per_cell_repr(tmp_path):
+    # ids that need csv quoting (a comma, a quote, a line break, empty) and
+    # values that repeat, differ only in sign (-0.0) or sit at the extremes
+    ids = ["plain", "com,ma", 'q"uote', "two\r\nlines", "", "last"]
+    rng = np.random.default_rng(4)
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, 0.1, 1 / 3, 2.5])
+    matrix = pool[rng.integers(0, len(pool), size=(len(ids), len(ids)))]
+    path = tmp_path / "d.csv"
+    write_distance_matrix(ids, matrix, path)
+    expected = tmp_path / "expected.csv"
+    with expected.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["network_id", *ids])
+        for i, network_id in enumerate(ids):
+            writer.writerow([network_id] + [repr(float(v)) for v in matrix[i]])
+    assert path.read_bytes() == expected.read_bytes()
+    assert b"-0.0," in path.read_bytes() and b"5e-324" in path.read_bytes()
+    loaded_ids, loaded = read_distance_matrix(path)
+    assert loaded_ids == ids
+    assert np.array_equal(loaded.view(np.int64), matrix.view(np.int64))
 
 
 def test_distance_matrix_shape_mismatch_rejected(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import assume, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from diffnet import (
     Bias,
@@ -38,6 +39,7 @@ from diffnet import (
     stratified_shuffle_split,
     threshold_metrics,
 )
+from diffnet.ml import average_ranks
 
 import util
 
@@ -398,6 +400,24 @@ def test_split_proportions_within_one_sample():
             for cls, size in ((0, n0), (1, n1)):
                 got = int(np.sum(labels[test] == cls))
                 assert abs(got - frac * size) <= 1.0
+
+
+# --- ranks ------------------------------------------------------------------
+
+
+_MATRIX_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)
+
+
+@given(
+    hnp.arrays(np.int64, _MATRIX_SHAPES, elements=st.sampled_from([0, 1, 2, 3, 7]))
+    | hnp.arrays(np.float64, _MATRIX_SHAPES, elements=st.floats(-3, 3, width=16))
+)
+def test_average_ranks_of_columns_match_oracle(values):
+    ranks = average_ranks(values)
+    assert ranks.shape == values.shape
+    for k in range(values.shape[1]):
+        assert np.array_equal(ranks[:, k], util.oracle_average_ranks(values[:, k]))
+        assert np.array_equal(average_ranks(values[:, k]), ranks[:, k])
 
 
 # --- ROC and AUC ------------------------------------------------------------

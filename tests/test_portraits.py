@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diffnet import (
+    DiffusionNetwork,
     EmptyGraphError,
     distance_matrix,
     divergence_from_portraits,
@@ -119,10 +120,19 @@ def test_portrait_matches_bfs_oracle(g, undirected):
     assert util.portrait_to_dict(b) == util.oracle_portrait(n, arcs, undirected=undirected)
 
 
+def assert_shells_match_oracle(net, n, arcs, undirected):
+    """Each row of ``shell_counts``, less its trailing zeros, is that node's
+    oracle shell list, and the last column is some node's eccentricity."""
+    shells = shell_counts(net, undirected)
+    assert shells.shape[0] == n and shells[:, -1].any()
+    rows = [list(row[: np.flatnonzero(row)[-1] + 1]) for row in shells.tolist()]
+    assert rows == util.oracle_shells(n, arcs, undirected)
+
+
 @given(graphs(max_nodes=8), st.booleans())
 def test_shell_counts_match_per_source_bfs(g, undirected):
     n, arcs = g
-    assert shell_counts(make_network(n, arcs), undirected) == util.oracle_shells(n, arcs, undirected)
+    assert_shells_match_oracle(make_network(n, arcs), n, arcs, undirected)
 
 
 def _twin_graphs() -> dict[str, tuple[int, list[tuple[int, int]]]]:
@@ -146,6 +156,13 @@ def _twin_graphs() -> dict[str, tuple[int, list[tuple[int, int]]]]:
         # layer, so its own shells end one layer earlier
         "twins-reached-back": (9, [(m, s) for m in range(6) for s in (6, 7)]
                                + [(6, 0), (7, 8), (8, 1)]),
+        # the sinks and the isolated nodes 9-11 form the class of the empty
+        # out-set, whose BFS has no source
+        "empty-set-class": (12, [(0, 1), (1, 2), (0, 3), (4, 5), (4, 6), (7, 8)]),
+        # members 0-3 share the set {4, 5}, and 4 leads back to 0-3: each
+        # member reaches the other three at distance 2
+        "members-reach-each-other": (7, [(m, s) for m in range(4) for s in (4, 5)]
+                                     + [(4, m) for m in range(4)] + [(5, 6)]),
     }
 
 
@@ -159,7 +176,29 @@ def test_twin_class_portraits_match_oracle(name, undirected):
     net = make_network(n, arcs)
     b = portrait(net, undirected=undirected)
     assert util.portrait_to_dict(b) == util.oracle_portrait(n, arcs, undirected=undirected)
-    assert shell_counts(net, undirected) == util.oracle_shells(n, arcs, undirected)
+    assert_shells_match_oracle(net, n, arcs, undirected)
+
+
+@pytest.mark.parametrize("undirected", [False, True], ids=["directed", "undirected"])
+def test_more_twin_classes_than_one_pass_holds(undirected):
+    # every node of 70 disjoint cycles of 25-35 nodes is a class of its own,
+    # so the 2,086 classes take two bit-parallel passes, and the cycle that
+    # holds class 2,048 has classes in both
+    arcs, n = [], 0
+    for c in range(70):
+        m = 25 + c % 11
+        arcs += [(n + i, n + (i + 1) % m) for i in range(m)]
+        n += m
+    # four-digit names keep the sorted node order equal to the integers
+    net = DiffusionNetwork(
+        network_id="cycles",
+        nodes=frozenset(f"v{i:04d}" for i in range(n)),
+        edges=frozenset((f"v{u:04d}", f"v{v:04d}") for u, v in arcs),
+    )
+    assert n > 2048 and len(set(net.und_lists if undirected else net.out_lists)) == n
+    b = portrait(net, undirected=undirected)
+    assert util.portrait_to_dict(b) == util.oracle_portrait(n, arcs, undirected=undirected)
+    assert_shells_match_oracle(net, n, arcs, undirected)
 
 
 @given(graphs(max_nodes=7), st.integers(0, 10_000))
