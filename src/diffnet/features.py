@@ -113,15 +113,19 @@ def weakly_connected_components(network: DiffusionNetwork) -> list[list[int]]:
     return components
 
 
-def component_features(network: DiffusionNetwork) -> tuple[int, int, int, int]:
-    """(scc count, largest SCC size, wcc count, largest WCC size)."""
+def component_features(
+    network: DiffusionNetwork, wccs: list[list[int]] | None = None
+) -> tuple[int, int, int, int]:
+    """(scc count, largest SCC size, wcc count, largest WCC size); ``wccs``
+    takes ``weakly_connected_components(network)`` if already found."""
     scc_sizes = strongly_connected_component_sizes(network)
-    wccs = weakly_connected_components(network)
+    wccs = wccs or weakly_connected_components(network)
     return len(scc_sizes), max(scc_sizes), len(wccs), max(len(c) for c in wccs)
 
 
-def lwcc_diameter(network: DiffusionNetwork) -> int:
+def lwcc_diameter(network: DiffusionNetwork, wccs: list[list[int]] | None = None) -> int:
     """Diameter of the largest WCC in its undirected view (0 for a singleton).
+    ``wccs`` is as in ``component_features``.
 
     Directed eccentricities inside a weakly connected digraph can be
     infinite, so the undirected view is the only total definition.
@@ -136,8 +140,7 @@ def lwcc_diameter(network: DiffusionNetwork) -> int:
     Nodes with the same neighbour set share their eccentricity (swapping
     them is an automorphism), so one of each such set is a candidate.
     """
-    wccs = weakly_connected_components(network)
-    largest = max(wccs, key=len)
+    largest = max(wccs or weakly_connected_components(network), key=len)
     if len(largest) == 1:
         return 0
     und = network.und_lists
@@ -279,13 +282,14 @@ def extract_features(
     clustering: ClusteringVariant = ClusteringVariant.UNDIRECTED,
 ) -> FeatureVector:
     """Assemble the seven-feature tuple for one network."""
-    scc, lscc, wcc, lwcc = component_features(network)
+    wccs = weakly_connected_components(network)
+    scc, lscc, wcc, lwcc = component_features(network, wccs)
     return FeatureVector(
         scc=scc,
         lscc=lscc,
         wcc=wcc,
         lwcc=lwcc,
-        dwcc=lwcc_diameter(network),
+        dwcc=lwcc_diameter(network, wccs),
         cc=average_clustering(network, clustering),
         kc=main_kcore(network),
     )

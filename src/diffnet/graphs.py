@@ -15,6 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -284,27 +285,33 @@ def bucket_of(network: DiffusionNetwork) -> SizeBucket:
 
 # --- event file ingestion (one JSON object per line) -----------------------
 
-_EVENT_KEYS = ("tweet_id", "user", "target_user", "interaction", "url", "timestamp")
+_REQUIRED_KEYS = ("tweet_id", "user", "interaction", "url", "timestamp")  # target_user may be absent
+_required_fields = itemgetter(*_REQUIRED_KEYS)
+_INTERACTIONS = {kind.value: kind for kind in Interaction}
 
 
 def parse_event(obj: Mapping) -> InteractionEvent:
     """Build an event from a decoded JSON object, validating the schema."""
-    missing = [k for k in _EVENT_KEYS if k != "target_user" and k not in obj]
-    if missing:
-        raise MalformedEventError(f"event object missing keys: {', '.join(missing)}")
     try:
-        interaction = Interaction(obj["interaction"])
-    except ValueError:
-        raise MalformedEventError(f"unknown interaction type {obj['interaction']!r}") from None
+        tweet_id, user, kind, url, timestamp = _required_fields(obj)
+    except (LookupError, TypeError):
+        missing = [k for k in _REQUIRED_KEYS if k not in obj]
+        if missing:
+            raise MalformedEventError(f"event object missing keys: {', '.join(missing)}") from None
+        raise
+    try:
+        interaction = _INTERACTIONS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable value such as a list
+        raise MalformedEventError(f"unknown interaction type {kind!r}") from None
     target = obj.get("target_user")
     # users and URLs repeat across events: interning keeps one copy of each
     return InteractionEvent(
-        tweet_id=str(obj["tweet_id"]),
-        user=sys.intern(str(obj["user"])),
+        tweet_id=str(tweet_id),
+        user=sys.intern(str(user)),
         target_user=None if target is None else sys.intern(str(target)),
         interaction=interaction,
-        url=sys.intern(str(obj["url"])),
-        timestamp=float(obj["timestamp"]),
+        url=sys.intern(str(url)),
+        timestamp=float(timestamp),
     )
 
 

@@ -1,7 +1,7 @@
 """Synthetic diffusion-network generator.
 
-Builds event streams of resharing cascades whose global features separate
-into two controllable classes, so the full pipeline can be exercised
+Draws resharing cascades straight into networks whose global features
+separate into two controllable classes, so the full pipeline can be exercised
 without any platform data. Class profiles encode qualitative contrasts:
 broadcast-like networks are unions of shallow stars, clustered-like
 networks are fewer, deeper cascades with closure edges that create
@@ -15,16 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import (
-    Bias,
-    DiffusionNetwork,
-    EdgeDirection,
-    InteractionEvent,
-    Interaction,
-    Label,
-    SizeBucket,
-    build_network,
-)
+from .graphs import Bias, DiffusionNetwork, Label, SizeBucket
 
 
 class ClassProfile(enum.Enum):
@@ -90,84 +81,79 @@ def mean_audience_size(exponent: float, lo: int, hi: int) -> float:
     return float((support * weights).sum() / weights.sum())
 
 
+def node_count(recipe: CascadeRecipe) -> int:
+    """Node count of ``generate(recipe, ...)``, from the audience sizes alone
+    (the first draws of the recipe's stream), without building a cascade."""
+    rng = np.random.default_rng(recipe.seed)
+    sizes = power_law_audience_sizes(
+        rng, recipe.n_cascades, recipe.audience_exponent, recipe.audience_min, recipe.audience_max
+    )
+    return recipe.n_cascades + int(sizes.sum())
+
+
 def generate(
     recipe: CascadeRecipe,
     profile: ClassProfile,
     network_id: str | None = None,
 ) -> DiffusionNetwork:
-    """Generate one network from an event stream built cascade by cascade.
+    """Generate one network cascade by cascade, straight from the random draws.
 
-    Every acting user is fresh, so the node count is exactly
-    n_cascades + total audience size and closure events never add nodes.
+    Users are numbered in the order they act and named ``u{i}``. Every actor
+    is fresh, so the node count is exactly n_cascades + total audience size
+    (``node_count``). Edges follow the information flow. ``tweet_count``
+    counts one original per cascade, one retweet per audience member and
+    one tweet per closure link.
     """
     rng = np.random.default_rng(recipe.seed)
-    if network_id is None:
-        network_id = f"synth-{profile.value}-{recipe.seed}"
-    url = f"https://synthetic.invalid/{network_id}"
-
     sizes = power_law_audience_sizes(
         rng, recipe.n_cascades, recipe.audience_exponent, recipe.audience_min, recipe.audience_max
     )
-    events: list[InteractionEvent] = []
-    cascade_members: list[list[str]] = []  # per cascade, root first
-    next_user = 0
-    next_tweet = 0
-
-    def fresh_user() -> str:
-        nonlocal next_user
-        next_user += 1
-        return f"u{next_user - 1}"
-
-    def emit(kind: Interaction, actor: str, target: str | None) -> None:
-        nonlocal next_tweet
-        events.append(
-            InteractionEvent(
-                tweet_id=f"t{next_tweet}",
-                user=actor,
-                target_user=target,
-                interaction=kind,
-                url=url,
-                timestamp=float(next_tweet),
-            )
-        )
-        next_tweet += 1
-
-    for size in sizes:
-        root = fresh_user()
-        emit(Interaction.ORIGINAL, root, None)
-        members = [root]
-        parent_of: dict[str, str] = {}
-        for _ in range(int(size)):
-            actor = fresh_user()
-            if len(members) > 1 and rng.random() < recipe.depth_bias:
-                parent = members[int(rng.integers(1, len(members)))]
+    # local names: the loop below runs once per audience member
+    random, integers = rng.random, rng.integers
+    depth_bias, reply_prob, reciprocity_prob = recipe.depth_bias, recipe.reply_prob, recipe.reciprocity_prob
+    mention_prob, quote_prob = recipe.mention_prob, recipe.quote_prob
+    parent_of = [0] * (recipe.n_cascades + int(sizes.sum()))
+    cascades: list[tuple[int, int]] = []  # (root, member count) per finished cascade
+    edges: set[tuple[int, int]] = set()
+    tweets = 0
+    root = 0
+    for size in sizes.tolist():
+        for actor in range(root + 1, root + 1 + size):
+            if actor - root > 1 and random() < depth_bias:
+                parent = root + int(integers(1, actor - root))
             else:
                 parent = root
-            emit(Interaction.RETWEET, actor, parent)
+            edges.add((parent, actor))  # the retweet
             parent_of[actor] = parent
-            members.append(actor)
             # triangle closure: reply to the grandparent alongside the retweet
-            if parent is not root and rng.random() < recipe.reply_prob:
-                emit(Interaction.REPLY, actor, parent_of[parent])
+            if parent != root and random() < reply_prob:
+                edges.add((parent_of[parent], actor))
+                tweets += 1
             # reciprocated arc: the parent replies back to the retweeter
-            if rng.random() < recipe.reciprocity_prob:
-                emit(Interaction.REPLY, parent, actor)
+            if random() < reciprocity_prob:
+                edges.add((actor, parent))
+                tweets += 1
             # cross-cascade links merge weak components
-            if cascade_members and rng.random() < recipe.mention_prob:
-                other = cascade_members[int(rng.integers(len(cascade_members)))]
-                emit(Interaction.MENTION, actor, other[int(rng.integers(len(other)))])
-            if cascade_members and rng.random() < recipe.quote_prob:
-                other = cascade_members[int(rng.integers(len(cascade_members)))]
-                emit(Interaction.QUOTE, actor, other[int(rng.integers(len(other)))])
-        cascade_members.append(members)
+            if cascades and random() < mention_prob:
+                other, members = cascades[int(integers(len(cascades)))]
+                edges.add((actor, other + int(integers(members))))
+                tweets += 1
+            if cascades and random() < quote_prob:
+                other, members = cascades[int(integers(len(cascades)))]
+                edges.add((other + int(integers(members)), actor))
+                tweets += 1
+        cascades.append((root, 1 + size))
+        tweets += 1 + size
+        root += 1 + size
 
-    return build_network(
-        events,
-        url,
-        direction=EdgeDirection.INFO_FLOW,
-        network_id=network_id,
+    names = [f"u{i}" for i in range(root)]
+    return DiffusionNetwork(
+        network_id=network_id if network_id is not None else f"synth-{profile.value}-{recipe.seed}",
+        nodes=frozenset(names),
+        edges=frozenset((names[u], names[v]) for u, v in edges),
         label=_PROFILE_LABELS[profile],
         bias=Bias.NONE,
+        tweet_count=tweets,
     )
 
 
@@ -224,8 +210,10 @@ def generate_ensemble(
     """Generate ``count`` networks whose node counts land in ``bucket``.
 
     Target sizes are drawn per member; draws that miss the bucket (audience
-    sizes are random) are retried with a fresh seed. min_nodes keeps small
-    networks above the tweet-count corpus filter.
+    sizes are random) are retried with a fresh seed. The node count is
+    known from the audience sizes alone (``node_count``), so a missed draw
+    builds no cascade. min_nodes keeps small networks above the
+    tweet-count corpus filter.
     """
     if bucket not in _BUCKET_TARGETS:
         raise ValueError(f"cannot target bucket {bucket.value}")
@@ -237,12 +225,11 @@ def generate_ensemble(
             target = int(master.integers(lo, hi + 1))
             member_seed = int(master.integers(0, 2**63 - 1))
             recipe = recipe_for(profile, target, seed=member_seed)
-            network = generate(
-                recipe, profile, network_id=f"synth-{profile.value}-{bucket.value}-{i:04d}"
-            )
-            n = len(network.nodes)
+            n = node_count(recipe)
             if bucket.contains(n) and n >= min_nodes:
-                networks.append(network)
+                networks.append(generate(
+                    recipe, profile, network_id=f"synth-{profile.value}-{bucket.value}-{i:04d}"
+                ))
                 break
         else:
             raise RuntimeError(

@@ -123,6 +123,22 @@ def test_features_match_naive_oracles(g):
     util.oracle_feature_check(n, arcs, extract_features(make_network(n, arcs)))
 
 
+def test_extract_features_finds_weak_components_once(monkeypatch):
+    import diffnet.features as features
+
+    net = make_network(7, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 4)])
+    calls = []
+    original = features.weakly_connected_components
+
+    def counted(network):
+        calls.append(network.network_id)
+        return original(network)
+
+    monkeypatch.setattr(features, "weakly_connected_components", counted)
+    assert extract_features(net) == FeatureVector(5, 3, 3, 3, 1, 3 / 7, 2)
+    assert calls == ["g"]
+
+
 def _diameter_graph(shape: str, rng: np.random.Generator):
     """(n, arcs) of 30-300 nodes with the named undirected shape, randomly
     oriented (some edges both ways) and randomly numbered."""

@@ -6,7 +6,9 @@ import json
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+
+import util
 
 from diffnet import (
     Bias,
@@ -64,6 +66,58 @@ def test_parse_event_rejects_unknown_interaction():
 def test_parse_event_reports_missing_keys():
     with pytest.raises(MalformedEventError, match="missing keys"):
         parse_event({"tweet_id": "t", "user": "A"})
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+_EVENT_FIELDS = ("tweet_id", "user", "target_user", "interaction", "url", "timestamp")
+
+
+@st.composite
+def mutated_event_objects(draw):
+    """A valid event object with some keys dropped or given other values,
+    or now and then a JSON value that is not an object at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JSON_VALUES | st.just(list(_EVENT_FIELDS)) | st.just(" ".join(_EVENT_FIELDS)))
+    obj = {
+        "tweet_id": draw(st.text(max_size=4)),
+        "user": draw(st.text(max_size=4)),
+        "target_user": draw(st.none() | st.text(max_size=4)),
+        "interaction": draw(st.sampled_from([kind.value for kind in Interaction])),
+        "url": URL,
+        "timestamp": draw(st.integers(0, 100)),
+    }
+    for key in draw(st.lists(st.sampled_from(_EVENT_FIELDS), unique=True, max_size=3)):
+        if draw(st.booleans()):
+            del obj[key]
+        else:
+            obj[key] = draw(_JSON_VALUES | st.sampled_from(["original", "retweet", "like", "Quote"]))
+    return obj
+
+
+def _parse_outcome(parse, obj):
+    try:
+        return repr(parse(obj))
+    except Exception as exc:  # the type and message must match, whatever they are
+        return type(exc), str(exc)
+
+
+_VALID_EVENT = {"tweet_id": "t", "user": "A", "target_user": "B", "interaction": "retweet",
+                "url": URL, "timestamp": 0}
+
+
+@given(mutated_event_objects())
+@example({**_VALID_EVENT, "interaction": ["retweet"]})
+@example({**_VALID_EVENT, "interaction": {"retweet": 1}})
+@example(list(_EVENT_FIELDS))
+@example(" ".join(_EVENT_FIELDS))
+@example(5)
+@example(None)
+def test_parse_event_matches_oracle_on_mutated_objects(obj):
+    assert _parse_outcome(parse_event, obj) == _parse_outcome(util.oracle_parse_event, obj)
 
 
 # --- construction -----------------------------------------------------------

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+
+import util
 
 from diffnet import (
     CascadeRecipe,
@@ -16,7 +19,7 @@ from diffnet import (
     mean_audience_size,
     recipe_for,
 )
-from diffnet.synth import power_law_audience_sizes
+from diffnet.synth import node_count, power_law_audience_sizes
 
 
 # --- recipe validation ------------------------------------------------------
@@ -121,6 +124,49 @@ def test_cross_cascade_links_merge_components():
     recipe = CascadeRecipe(n_cascades=8, mention_prob=1.0, seed=8)
     fv = extract_features(generate(recipe, ClassProfile.CLUSTERED_LIKE))
     assert fv.wcc < 8
+
+
+_PROBABILITIES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def recipes(draw):
+    """Recipes of 1-6 cascades: power-law audiences, or hub shapes whose
+    audiences all have one size of up to 600."""
+    if draw(st.booleans()):
+        lo = draw(st.integers(1, 30))
+        hi = draw(st.integers(lo, 60))
+    else:
+        lo = hi = draw(st.integers(1, 600))
+    return CascadeRecipe(
+        n_cascades=draw(st.integers(1, 6)),
+        audience_exponent=draw(st.floats(1.1, 4.0)),
+        audience_min=lo,
+        audience_max=hi,
+        reply_prob=draw(_PROBABILITIES),
+        mention_prob=draw(_PROBABILITIES),
+        quote_prob=draw(_PROBABILITIES),
+        depth_bias=draw(_PROBABILITIES),
+        reciprocity_prob=draw(_PROBABILITIES),
+        seed=draw(st.integers(0, 2**63 - 1)),
+    )
+
+
+@given(recipes(), st.sampled_from(ClassProfile))
+def test_generate_matches_event_stream_oracle(recipe, profile):
+    net = generate(recipe, profile)
+    # dataclass equality: id, nodes, edges, label, bias and tweet_count
+    assert net == util.oracle_generate(recipe, profile)
+    assert node_count(recipe) == net.n_nodes
+
+
+@pytest.mark.parametrize("bucket", [SizeBucket.D_0_100, SizeBucket.D_100_1000])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_ensemble_matches_oracle_that_builds_every_attempt(bucket, seed):
+    for profile in ClassProfile:
+        assert generate_ensemble(profile, bucket, 8, seed=seed) == util.oracle_generate_ensemble(
+            profile, bucket, 8, seed=seed
+        )
 
 
 def test_custom_network_id_flows_through():

@@ -13,7 +13,17 @@ import numpy as np
 from hypothesis import strategies as st
 
 from diffnet import DiffusionNetwork
+from diffnet.errors import MalformedEventError
 from diffnet.graphlets import CATALOG, N_ORBITS
+from diffnet.graphs import (
+    Bias,
+    EdgeDirection,
+    Interaction,
+    InteractionEvent,
+    Label,
+    build_network,
+)
+from diffnet.synth import _BUCKET_TARGETS, ClassProfile, power_law_audience_sizes, recipe_for
 
 
 def node_name(i: int) -> str:
@@ -371,3 +381,125 @@ def oracle_auc(scores, labels) -> float:
     neg = scores[labels == 0]
     wins = sum(1.0 if p > q else (0.5 if p == q else 0.0) for p in pos for q in neg)
     return wins / (len(pos) * len(neg))
+
+
+# --- event parsing oracle (the schema checks written out in full) ---------
+
+_ORACLE_EVENT_KEYS = ("tweet_id", "user", "target_user", "interaction", "url", "timestamp")
+
+
+def oracle_parse_event(obj) -> InteractionEvent:
+    """``graphs.parse_event`` checking every key up front and converting
+    the interaction through the ``Interaction`` constructor."""
+    missing = [k for k in _ORACLE_EVENT_KEYS if k != "target_user" and k not in obj]
+    if missing:
+        raise MalformedEventError(f"event object missing keys: {', '.join(missing)}")
+    try:
+        interaction = Interaction(obj["interaction"])
+    except ValueError:
+        raise MalformedEventError(f"unknown interaction type {obj['interaction']!r}") from None
+    target = obj.get("target_user")
+    return InteractionEvent(
+        tweet_id=str(obj["tweet_id"]),
+        user=str(obj["user"]),
+        target_user=None if target is None else str(target),
+        interaction=interaction,
+        url=str(obj["url"]),
+        timestamp=float(obj["timestamp"]),
+    )
+
+
+# --- generator oracle (an event stream run through build_network) ----------
+
+
+def oracle_generate(recipe, profile, network_id: str | None = None) -> DiffusionNetwork:
+    """The synthetic network of ``recipe`` built the long way: one
+    InteractionEvent per tweet with user names, then ``build_network``.
+    The random draws are the same calls in the same order as
+    ``synth.generate`` makes."""
+    rng = np.random.default_rng(recipe.seed)
+    if network_id is None:
+        network_id = f"synth-{profile.value}-{recipe.seed}"
+    url = f"https://synthetic.invalid/{network_id}"
+
+    sizes = power_law_audience_sizes(
+        rng, recipe.n_cascades, recipe.audience_exponent, recipe.audience_min, recipe.audience_max
+    )
+    events: list[InteractionEvent] = []
+    cascade_members: list[list[str]] = []  # per cascade, root first
+    next_user = 0
+    next_tweet = 0
+
+    def fresh_user() -> str:
+        nonlocal next_user
+        next_user += 1
+        return f"u{next_user - 1}"
+
+    def emit(kind: Interaction, actor: str, target: str | None) -> None:
+        nonlocal next_tweet
+        events.append(
+            InteractionEvent(
+                tweet_id=f"t{next_tweet}",
+                user=actor,
+                target_user=target,
+                interaction=kind,
+                url=url,
+                timestamp=float(next_tweet),
+            )
+        )
+        next_tweet += 1
+
+    for size in sizes:
+        root = fresh_user()
+        emit(Interaction.ORIGINAL, root, None)
+        members = [root]
+        parent_of: dict[str, str] = {}
+        for _ in range(int(size)):
+            actor = fresh_user()
+            if len(members) > 1 and rng.random() < recipe.depth_bias:
+                parent = members[int(rng.integers(1, len(members)))]
+            else:
+                parent = root
+            emit(Interaction.RETWEET, actor, parent)
+            parent_of[actor] = parent
+            members.append(actor)
+            if parent is not root and rng.random() < recipe.reply_prob:
+                emit(Interaction.REPLY, actor, parent_of[parent])
+            if rng.random() < recipe.reciprocity_prob:
+                emit(Interaction.REPLY, parent, actor)
+            if cascade_members and rng.random() < recipe.mention_prob:
+                other = cascade_members[int(rng.integers(len(cascade_members)))]
+                emit(Interaction.MENTION, actor, other[int(rng.integers(len(other)))])
+            if cascade_members and rng.random() < recipe.quote_prob:
+                other = cascade_members[int(rng.integers(len(cascade_members)))]
+                emit(Interaction.QUOTE, actor, other[int(rng.integers(len(other)))])
+        cascade_members.append(members)
+
+    label = Label.MAINSTREAM if profile is ClassProfile.BROADCAST_LIKE else Label.DISINFORMATION
+    return build_network(
+        events,
+        url,
+        direction=EdgeDirection.INFO_FLOW,
+        network_id=network_id,
+        label=label,
+        bias=Bias.NONE,
+    )
+
+
+def oracle_generate_ensemble(profile, bucket, count: int, seed: int = 0, min_nodes: int = 55):
+    """``generate_ensemble`` building every attempt in full with
+    ``oracle_generate`` and keeping those whose node count fits."""
+    lo, hi = _BUCKET_TARGETS[bucket]
+    master = np.random.default_rng(seed)
+    networks = []
+    for i in range(count):
+        while True:
+            target = int(master.integers(lo, hi + 1))
+            recipe = recipe_for(profile, target, seed=int(master.integers(0, 2**63 - 1)))
+            network = oracle_generate(
+                recipe, profile, network_id=f"synth-{profile.value}-{bucket.value}-{i:04d}"
+            )
+            if bucket.contains(network.n_nodes) and network.n_nodes >= min_nodes:
+                networks.append(network)
+                break
+    return networks
