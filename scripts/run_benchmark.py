@@ -21,7 +21,6 @@ from diffnet import (
     EvalConfig,
     Sample,
     SizeBucket,
-    bucket_of,
     dataset_from_samples,
     evaluate,
     extract_features,
@@ -36,8 +35,7 @@ def build_dataset(bucket: SizeBucket, count: int, seed: int):
     for profile, offset in PROFILE_SEEDS.items():
         networks = generate_ensemble(profile, bucket, count=count, seed=seed + offset)
         samples.extend(
-            Sample(net.network_id, extract_features(net), net.label, net.bias,
-                   bucket_of(net), len(net.nodes))
+            Sample(net.network_id, extract_features(net), net.label, net.bias, net.n_nodes)
             for net in networks
         )
     return dataset_from_samples(samples)
@@ -47,8 +45,7 @@ def shuffled_control(dataset, seed: int):
     order = np.random.default_rng(seed).permutation(len(dataset.samples))
     return dataset_from_samples(
         [
-            Sample(s.network_id, s.features, dataset.samples[j].label, s.bias,
-                   s.bucket, s.n_nodes)
+            Sample(s.network_id, s.features, dataset.samples[j].label, s.bias, s.n_nodes)
             for s, j in zip(dataset.samples, order)
         ]
     )

@@ -20,7 +20,6 @@ from diffnet import (
     EvalConfig,
     Sample,
     SizeBucket,
-    bucket_of,
     dataset_from_samples,
     distance_matrix,
     evaluate,
@@ -70,8 +69,7 @@ def main(argv: list[str] | None = None) -> None:
     print(f"{args.metric} matrix in {time.perf_counter() - t1:.1f} s")
 
     samples = [
-        Sample(net.network_id, extract_features(net), net.label, net.bias,
-               bucket_of(net), len(net.nodes))
+        Sample(net.network_id, extract_features(net), net.label, net.bias, net.n_nodes)
         for net in networks
     ]
     dataset = dataset_from_samples(

@@ -391,7 +391,7 @@ def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
 _SHARED_OPTIONS = {
     "--seed": {"type": int, "default": 0},
     "--bucket": {"choices": [b.value for b in SizeBucket], "default": SizeBucket.D_ALL.value},
-    "--min-tweets": {"type": int, "default": 50},
+    "--min-tweets": {"type": int},
 }
 
 
@@ -460,6 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    min_tweets = getattr(args, "min_tweets", None)
+    # classify and report read tweet counts from an optional --manifest;
+    # build has no such option, it counts the tweets of its own events
+    if min_tweets is not None and getattr(args, "manifest", "") is None:
+        raise ValueError("--min-tweets needs --manifest, which holds the tweet counts")
     return RunConfig(
         subcommand=args.subcommand,
         bucket=SizeBucket(getattr(args, "bucket", "all")),
@@ -469,7 +474,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         folds=getattr(args, "folds", 10),
         test_fraction=getattr(args, "test_fraction", 0.1),
         seed=getattr(args, "seed", 0),
-        min_tweets=getattr(args, "min_tweets", 50),
+        min_tweets=50 if min_tweets is None else min_tweets,
         direction=EdgeDirection(getattr(args, "direction", "flow")),
         clustering=ClusteringVariant(getattr(args, "clustering", "undirected")),
         portrait_undirected=getattr(args, "portrait_undirected", False),

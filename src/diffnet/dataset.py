@@ -1,15 +1,17 @@
 """Corpus manifests, dataset assembly, and tabular I/O.
 
 The manifest is the corpus index: one row per network file with its label,
-bias and tweet count. ``assemble`` turns a manifest into a LabeledDataset
-by loading each network, applying the corpus filters and computing the
-feature vectors.
+bias and tweet count. ``select_corpus`` applies the corpus filters to its
+entries or to feature-table samples, ``resolve_manifest_paths`` finds the
+network files, and ``dataset_from_samples`` turns samples into a
+LabeledDataset.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TypeVar
@@ -17,14 +19,9 @@ from typing import Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .errors import DatasetError, FileFormatError
-from .features import (
-    FEATURE_NAMES,
-    ClusteringVariant,
-    FeatureVector,
-    extract_features,
-)
+from .features import FEATURE_NAMES, FeatureVector
 from .graphlets import dgcd_from_correlations
-from .graphs import Bias, Label, SizeBucket, bucket_of, load_network
+from .graphs import Bias, Label
 from .ml import LabeledDataset, Sample
 from .portraits import divergence_from_portraits, portrait_distributions
 
@@ -72,6 +69,7 @@ def write_manifest(entries: Sequence[ManifestEntry], path: str | Path) -> None:
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
     path = Path(path)
     entries = []
+    first_line: dict[str, int] = {}
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(MANIFEST_COLUMNS) - set(reader.fieldnames or ())
@@ -80,11 +78,19 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
                 f"manifest missing columns: {', '.join(sorted(missing))}", path=path
             )
         for line_no, row in enumerate(reader, start=2):
+            network_id = row["network_id"]
+            if network_id in first_line:
+                raise FileFormatError(
+                    f"duplicate network_id {network_id!r}, first on line {first_line[network_id]}",
+                    path=path,
+                    line_no=line_no,
+                )
+            first_line[network_id] = line_no
             try:
                 n_nodes_raw = (row.get("n_nodes") or "").strip()
                 entries.append(
                     ManifestEntry(
-                        network_id=row["network_id"],
+                        network_id=network_id,
                         path=row["path"],
                         label=Label(row["label"]),
                         bias=Bias(row["bias"]),
@@ -134,7 +140,6 @@ def read_feature_table(path: str | Path) -> list[Sample]:
                         features=fv,
                         label=Label(row["label"]),
                         bias=Bias(row["bias"]),
-                        bucket=SizeBucket.from_node_count(n_nodes),
                         n_nodes=n_nodes,
                     )
                 )
@@ -178,6 +183,11 @@ def read_distance_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:
         except StopIteration:
             raise FileFormatError("empty distance matrix", path=path)
         ids = header[1:]
+        repeated = sorted(i for i, count in Counter(ids).items() if count > 1)
+        if repeated:
+            raise FileFormatError(
+                f"duplicate ids in header: {', '.join(repeated)}", path=path, line_no=1
+            )
         matrix = np.zeros((len(ids), len(ids)))
         row_ids = []
         for line_no, row in enumerate(reader, start=2):
@@ -261,47 +271,6 @@ def select_corpus(
         and (bias_filter is None or item.bias in bias_filter)
         and not any(src in item.network_id for src in exclude_sources)
     ]
-
-
-def assemble(
-    manifest_path: str | Path,
-    *,
-    min_tweets: int = 50,
-    bias_filter: frozenset[Bias] | None = None,
-    exclude_sources: Sequence[str] = (),
-    clustering: ClusteringVariant = ClusteringVariant.UNDIRECTED,
-    distances: tuple[Sequence[str], np.ndarray] | None = None,
-) -> LabeledDataset:
-    """Build a LabeledDataset from a manifest file.
-
-    Keeps the entries that ``select_corpus`` passes, loads their networks
-    and computes their feature vectors. Samples are ordered by network_id.
-    When a precomputed distance matrix is supplied it is re-indexed to the
-    surviving samples.
-    """
-    manifest_path = Path(manifest_path)
-    entries = read_manifest(manifest_path)
-    kept = select_corpus(
-        entries,
-        {e.network_id: e.tweet_count for e in entries},
-        min_tweets=min_tweets,
-        bias_filter=bias_filter,
-        exclude_sources=exclude_sources,
-    )
-    samples = []
-    for entry, path in zip(kept, resolve_manifest_paths(kept, base=manifest_path.parent)):
-        network = load_network(path, fmt="edgelist", network_id=entry.network_id)
-        samples.append(
-            Sample(
-                network_id=entry.network_id,
-                features=extract_features(network, clustering=clustering),
-                label=entry.label,
-                bias=entry.bias,
-                bucket=bucket_of(network),
-                n_nodes=len(network.nodes),
-            )
-        )
-    return dataset_from_samples(samples, distances=distances)
 
 
 def dataset_from_samples(

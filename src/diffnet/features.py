@@ -186,30 +186,31 @@ def local_clustering(network: DiffusionNetwork, variant: ClusteringVariant = Clu
     _require_nonempty(network)
     n = network.n_nodes
     coeffs = np.zeros(n, dtype=np.float64)
+    und = network.und_lists
     if variant is ClusteringVariant.UNDIRECTED:
-        und = network.und_sets
+        neighbours = [frozenset(nbrs) for nbrs in und]
         for u in range(n):
-            nbrs = und[u]
+            nbrs = neighbours[u]
             d = len(nbrs)
             if d < 2:
                 continue
-            links = sum(len(nbrs & und[v]) for v in nbrs) // 2
+            links = sum(len(nbrs & neighbours[v]) for v in nbrs) // 2
             coeffs[u] = links / (d * (d - 1) / 2)
         return coeffs
 
-    out, inc = network.out_sets, network.in_sets
+    out = [frozenset(succ) for succ in network.out_lists]
+    in_degree = np.bincount(network.arcs[1], minlength=n).tolist()
 
     def w(a: int, b: int) -> int:
         return (b in out[a]) + (a in out[b])
 
-    und = network.und_sets
     for u in range(n):
-        d_tot = len(out[u]) + len(inc[u])
-        d_bi = len(out[u] & inc[u])
+        d_tot = len(out[u]) + in_degree[u]
+        d_bi = d_tot - len(und[u])  # |out & in| = |out| + |in| - |out | in|
         denom = d_tot * (d_tot - 1) - 2 * d_bi
         if denom <= 0:
             continue
-        nbrs = sorted(und[u])
+        nbrs = und[u]
         triangles = 0
         for i, v in enumerate(nbrs):
             for x in nbrs[i + 1 :]:

@@ -150,10 +150,8 @@ def count_orbits(network: DiffusionNetwork) -> np.ndarray:
     if network.n_nodes == 0:
         raise EmptyGraphError(f"network {network.network_id!r} has no nodes")
     n = network.n_nodes
-    idx = network.node_index
-    arcs = np.array([(idx[u], idx[v]) for u, v in network.edges], dtype=np.int64)
-    src, dst = arcs.reshape(-1, 2).T
-    arc_keys = np.sort(src * n + dst)
+    src, dst = network.arcs
+    arc_keys = src * n + dst  # sorted, as the arcs are
     one_way = ~_contains(arc_keys, dst * n + src)
     s1, d1 = src[one_way], dst[one_way]
     o = np.bincount(s1, minlength=n)

@@ -15,9 +15,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import FileFormatError, MalformedEventError
 
@@ -113,7 +116,9 @@ class DiffusionNetwork:
     """Directed, unweighted, simple interaction graph for one news URL.
 
     Immutable after construction; derived adjacency views are cached and
-    the instance is safe to share across concurrent readers.
+    the instance is safe to share across concurrent readers. The views
+    index nodes by their position in ``sorted_nodes``: ``arcs`` is the
+    integer core, and ``out_lists`` and ``und_lists`` are split from it.
     """
 
     network_id: str
@@ -144,51 +149,50 @@ class DiffusionNetwork:
 
     @cached_property
     def sorted_nodes(self) -> tuple[str, ...]:
+        """The node names in sorted order; node i of every index view is
+        ``sorted_nodes[i]``."""
         return tuple(sorted(self.nodes))
 
     @cached_property
-    def node_index(self) -> dict[str, int]:
-        return {u: i for i, u in enumerate(self.sorted_nodes)}
-
-    def _index_sets(self, pairs: Iterable[tuple[str, str]]) -> tuple[frozenset[int], ...]:
-        """Per source index, the frozenset of target indices of ``pairs``."""
-        idx = self.node_index
-        sets = [set() for _ in range(self.n_nodes)]
-        for u, v in pairs:
-            sets[idx[u]].add(idx[v])
-        return tuple(frozenset(s) for s in sets)
-
-    @cached_property
-    def out_sets(self) -> tuple[frozenset[int], ...]:
-        return self._index_sets(self.edges)
-
-    @cached_property
-    def in_sets(self) -> tuple[frozenset[int], ...]:
-        return self._index_sets((v, u) for u, v in self.edges)
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges as read-only ``(sources, targets)`` int64 index arrays,
+        ordered by source, then target."""
+        n = self.n_nodes
+        index = {u: i for i, u in enumerate(self.sorted_nodes)}
+        endpoints = np.fromiter(
+            map(index.__getitem__, chain.from_iterable(self.edges)),
+            dtype=np.int64,
+            count=2 * self.n_edges,
+        )
+        sources, targets = np.divmod(np.sort(endpoints[0::2] * n + endpoints[1::2]), n)
+        sources.flags.writeable = targets.flags.writeable = False
+        return sources, targets
 
     @cached_property
     def out_lists(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sorted(s)) for s in self.out_sets)
-
-    @cached_property
-    def und_sets(self) -> tuple[frozenset[int], ...]:
-        """Neighbor sets of the undirected simple projection."""
-        return tuple(a | b for a, b in zip(self.out_sets, self.in_sets))
+        """Per node index, the sorted indices of its successors."""
+        return _rows(self.n_nodes, *self.arcs)
 
     @cached_property
     def und_lists(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sorted(s)) for s in self.und_sets)
+        """Per node index, the sorted indices of its neighbours in the
+        undirected simple projection."""
+        n = self.n_nodes
+        sources, targets = self.arcs
+        pairs = np.unique(np.concatenate([sources * n + targets, targets * n + sources]))
+        return _rows(n, *np.divmod(pairs, n))
 
-    def relabeled(self, mapping: Mapping[str, str], network_id: str | None = None) -> "DiffusionNetwork":
-        """Return an isomorphic copy with nodes renamed through ``mapping``."""
-        return DiffusionNetwork(
-            network_id=network_id or self.network_id,
-            nodes=frozenset(mapping[u] for u in self.nodes),
-            edges=frozenset((mapping[u], mapping[v]) for u, v in self.edges),
-            label=self.label,
-            bias=self.bias,
-            tweet_count=self.tweet_count,
-        )
+
+def _rows(n: int, sources: np.ndarray, targets: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Row i: the targets of the arcs from node i, in order. The arcs must be
+    grouped by source, as ``DiffusionNetwork.arcs`` orders them.
+
+    Rows are tuples of Python ints: the pure-Python graph loops iterate
+    them, and iterating numpy rows or sets there is measurably slower.
+    """
+    flat = tuple(targets.tolist())
+    ends = np.cumsum(np.bincount(sources, minlength=n)).tolist()
+    return tuple(flat[start:end] for start, end in zip([0] + ends, ends))
 
 
 def bfs_layers(
@@ -276,11 +280,6 @@ def build_network(
         bias=bias,
         tweet_count=len(events),
     )
-
-
-def bucket_of(network: DiffusionNetwork) -> SizeBucket:
-    """The unique non-all size bucket containing the network's node count."""
-    return SizeBucket.from_node_count(network.n_nodes)
 
 
 # --- event file ingestion (one JSON object per line) -----------------------

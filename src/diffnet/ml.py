@@ -340,8 +340,11 @@ class Sample:
     features: FeatureVector
     label: Label
     bias: Bias
-    bucket: SizeBucket
     n_nodes: int
+
+    @property
+    def bucket(self) -> SizeBucket:
+        return SizeBucket.from_node_count(self.n_nodes)
 
 
 @dataclass

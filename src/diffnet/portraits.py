@@ -119,10 +119,10 @@ def shell_counts(network: DiffusionNetwork, undirected: bool = False) -> np.ndar
     if undirected:
         indptr, pred = _csr(adj)
     else:
-        out_ptr, succ = _csr(adj)
+        sources, targets = network.arcs
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(succ, minlength=n), out=indptr[1:])
-        pred = np.repeat(np.arange(n), np.diff(out_ptr))[np.argsort(succ, kind="stable")]
+        np.cumsum(np.bincount(targets, minlength=n), out=indptr[1:])
+        pred = sources[np.argsort(targets, kind="stable")]
     pulled = np.flatnonzero(np.diff(indptr))
     starts = indptr[pulled]
 

@@ -18,7 +18,6 @@ from diffnet import (
     EvalConfig,
     Sample,
     SizeBucket,
-    bucket_of,
     count_orbits,
     dataset_from_samples,
     dgcd13,
@@ -37,7 +36,7 @@ from diffnet import (
     stratified_shuffle_split,
 )
 
-from util import make_network, oracle_feature_check, oracle_orbit_counts, random_graph
+from util import make_network, oracle_feature_check, oracle_orbit_counts, random_graph, relabeled
 
 
 def test_c1(acceptance_log):
@@ -115,7 +114,7 @@ def test_c3(acceptance_log):
         n = len(net.nodes)
         perm = rng.permutation(n)
         mapping = {f"n{i:03d}": f"m{perm[i]:03d}" for i in range(n)}
-        assert portrait_divergence(net, net.relabeled(mapping)) == 0.0
+        assert portrait_divergence(net, relabeled(net, mapping)) == 0.0
     acceptance_log(3, f"hand tables exact, worst asymmetry {worst_asym:.1e}")
 
 
@@ -215,8 +214,7 @@ def synthetic_benchmark():
             if bucket is SizeBucket.D_100_1000:
                 medium_networks.extend(networks[:200])
             samples.extend(
-                Sample(net.network_id, extract_features(net), net.label, net.bias,
-                       bucket_of(net), len(net.nodes))
+                Sample(net.network_id, extract_features(net), net.label, net.bias, net.n_nodes)
                 for net in networks
             )
         datasets[bucket] = dataset_from_samples(samples)
@@ -252,7 +250,7 @@ def test_c7(synthetic_benchmark, benchmark_reports, acceptance_log):
         dataset = datasets[bucket]
         order = np.random.default_rng(7).permutation(len(dataset.samples))
         control_samples = [
-            Sample(s.network_id, s.features, dataset.samples[j].label, s.bias, s.bucket, s.n_nodes)
+            Sample(s.network_id, s.features, dataset.samples[j].label, s.bias, s.n_nodes)
             for s, j in zip(dataset.samples, order)
         ]
         control = evaluate(

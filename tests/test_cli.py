@@ -574,6 +574,7 @@ def test_report_filters(tmp_path):
         return json.loads(out.read_text())["n_samples"]
 
     assert n_samples([]) == 30
+    assert json.loads(out.read_text())["config"]["min_tweets"] == 50  # the default
     assert n_samples(["--bias", "left", "--bias", "right"]) == 20
     assert n_samples(["--bucket", "0-100"]) == 20
     assert n_samples(["--exclude-source", "site2"]) == 20
@@ -605,6 +606,9 @@ def test_report_single_class_is_fatal(tmp_path, capsys):
         ["distances", "m.csv", "--out", "d.csv", "--which", "bogus"],
         ["generate", "--profile", "nonsense", "--count", "1", "--out-dir", "g"],
         ["features", "m.csv", "--out", "f.csv", "--bucket", "0-100"],
+        # the tweet counts come from --manifest: without it the filter has no input
+        ["classify", "--features", "x", "--out", "y", "--min-tweets", "100"],
+        ["report", "--features", "x", "--out", "y", "--min-tweets", "100000"],
     ],
 )
 def test_invalid_options_exit_two(argv):

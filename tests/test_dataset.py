@@ -13,11 +13,12 @@ from diffnet import (
     FileFormatError,
     Label,
     ManifestEntry,
+    Sample,
     SizeBucket,
-    assemble,
     dataset_from_samples,
     distance_matrix,
     extract_features,
+    load_network,
     network_correlations,
     portrait,
     read_distance_matrix,
@@ -28,6 +29,7 @@ from diffnet import (
     write_feature_table,
     write_manifest,
 )
+from diffnet.dataset import resolve_manifest_paths, select_corpus
 
 from util import make_network
 
@@ -86,6 +88,18 @@ def test_manifest_bad_tweet_count_reports_line(tmp_path):
         "network_id,path,label,bias,tweet_count\n" "a,a.edges,mainstream,none,many\n"
     )
     with pytest.raises(FileFormatError, match=":2"):
+        read_manifest(path)
+
+
+def test_manifest_duplicate_id_reports_line(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(
+        "network_id,path,label,bias,tweet_count\n"
+        "a,a.edges,mainstream,none,60\n"
+        "b,b.edges,mainstream,none,60\n"
+        "a,c.edges,disinformation,none,70\n"
+    )
+    with pytest.raises(FileFormatError, match=r"m\.csv:4: duplicate network_id 'a', first on line 2"):
         read_manifest(path)
 
 
@@ -200,6 +214,14 @@ def test_distance_matrix_extra_rows_rejected(tmp_path):
         read_distance_matrix(path)
 
 
+def test_distance_matrix_duplicate_header_id_rejected(tmp_path):
+    # rows repeat the header, so without the check both "a" rows would read back
+    path = tmp_path / "d.csv"
+    path.write_text("network_id,a,b,a\na,0.0,1.0,0.0\nb,1.0,0.0,1.0\na,0.0,1.0,0.0\n")
+    with pytest.raises(FileFormatError, match="d.csv:1: duplicate ids in header: a$"):
+        read_distance_matrix(path)
+
+
 @pytest.mark.parametrize("distance", ["dgcd13", "portrait"])
 def test_distance_matrix_of_one_and_two_signatures(distance):
     signature = network_correlations if distance == "dgcd13" else portrait
@@ -252,9 +274,26 @@ def write_corpus(tmp_path):
     return manifest, members
 
 
+def kept_entries(manifest, **filters):
+    """The manifest entries that pass ``select_corpus``, tweet counts from the manifest."""
+    entries = read_manifest(manifest)
+    return select_corpus(entries, {e.network_id: e.tweet_count for e in entries}, **filters)
+
+
+def corpus_samples(manifest):
+    """A sample per kept manifest entry, from its loaded network's features."""
+    kept = kept_entries(manifest)
+    samples = []
+    for entry, path in zip(kept, resolve_manifest_paths(kept, base=manifest.parent)):
+        network = load_network(path)
+        samples.append(Sample(entry.network_id, extract_features(network), entry.label,
+                              entry.bias, network.n_nodes))
+    return samples
+
+
 def test_assemble_applies_corpus_filters(tmp_path):
     manifest, members = write_corpus(tmp_path)
-    ds = assemble(manifest)
+    ds = dataset_from_samples(corpus_samples(manifest))
     # the 49-tweet and unlabeled entries drop out; order is by id
     assert [s.network_id for s in ds.samples] == ["large", "medium", "small"]
     buckets = {s.network_id: s.bucket for s in ds.samples}
@@ -270,20 +309,19 @@ def test_assemble_applies_corpus_filters(tmp_path):
 
 def test_assemble_min_tweets_can_empty_the_corpus(tmp_path):
     manifest, _ = write_corpus(tmp_path)
-    ds = assemble(manifest, min_tweets=5000)
-    assert ds.samples == []
+    assert kept_entries(manifest, min_tweets=5000) == []
 
 
 def test_assemble_bias_slice(tmp_path):
     manifest, _ = write_corpus(tmp_path)
-    ds = assemble(manifest, bias_filter=frozenset({Bias.RIGHT, Bias.SATIRE}))
-    assert [s.network_id for s in ds.samples] == ["large", "medium"]
+    kept = kept_entries(manifest, bias_filter=frozenset({Bias.RIGHT, Bias.SATIRE}))
+    assert [e.network_id for e in kept] == ["large", "medium"]
 
 
 def test_assemble_exclude_sources_substring(tmp_path):
     manifest, _ = write_corpus(tmp_path)
-    ds = assemble(manifest, exclude_sources=("med", "lar"))
-    assert [s.network_id for s in ds.samples] == ["small"]
+    kept = kept_entries(manifest, exclude_sources=("med", "lar"))
+    assert [e.network_id for e in kept] == ["small"]
 
 
 def test_assemble_missing_file_lists_ids(tmp_path):
@@ -291,7 +329,7 @@ def test_assemble_missing_file_lists_ids(tmp_path):
     (tmp_path / "medium.edges").unlink()
     (tmp_path / "small.edges").unlink()
     with pytest.raises(DatasetError, match="medium, small"):
-        assemble(manifest)
+        resolve_manifest_paths(read_manifest(manifest), base=tmp_path)
 
 
 def test_assemble_reindexes_distances(tmp_path):
@@ -299,7 +337,7 @@ def test_assemble_reindexes_distances(tmp_path):
     ids = ["small", "large", "medium", "extra"]
     full = np.zeros((4, 4))
     full[0, 2] = full[2, 0] = 7.0  # small <-> medium
-    ds = assemble(manifest, distances=(ids, full))
+    ds = dataset_from_samples(corpus_samples(manifest), distances=(ids, full))
     assert ds.distances.shape == (3, 3)
     i = {s.network_id: k for k, s in enumerate(ds.samples)}
     assert ds.distances[i["small"], i["medium"]] == 7.0
@@ -309,12 +347,12 @@ def test_assemble_reindexes_distances(tmp_path):
 def test_assemble_distances_must_cover_samples(tmp_path):
     manifest, _ = write_corpus(tmp_path)
     with pytest.raises(DatasetError, match="lacks ids"):
-        assemble(manifest, distances=(["small"], np.zeros((1, 1))))
+        dataset_from_samples(corpus_samples(manifest), distances=(["small"], np.zeros((1, 1))))
 
 
 def test_dataset_from_samples_sorts_and_reindexes(tmp_path):
     manifest, _ = write_corpus(tmp_path)
-    ds = assemble(manifest)
+    ds = dataset_from_samples(corpus_samples(manifest))
     shuffled = [ds.samples[2], ds.samples[0], ds.samples[1]]
     ids = ["medium", "small", "large"]
     full = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])

@@ -203,7 +203,7 @@ def test_core_numbers_bound_degrees(g):
     n, arcs = g
     net = make_network(n, arcs)
     cores = core_numbers(net)
-    und = net.und_sets
+    und = net.und_lists
     for u in range(n):
         assert 0 <= cores[u] <= len(und[u])
     assert max(cores) == util.oracle_main_kcore(n, arcs)
@@ -241,7 +241,7 @@ def test_features_invariant_under_relabeling(g, seed):
     net = make_network(n, arcs)
     perm = np.random.default_rng(seed).permutation(n)
     mapping = {f"n{i:03d}": f"m{perm[i]:03d}" for i in range(n)}
-    fv, fv_re = extract_features(net), extract_features(net.relabeled(mapping))
+    fv, fv_re = extract_features(net), extract_features(util.relabeled(net, mapping))
     # relabeling permutes the per-node array behind cc, so the float mean may
     # move by an ulp; every integer feature must be identical
     assert fv_re.cc == pytest.approx(fv.cc, abs=1e-12)

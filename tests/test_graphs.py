@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -19,9 +21,10 @@ from diffnet import (
     InteractionEvent,
     Label,
     MalformedEventError,
+    Sample,
     SizeBucket,
-    bucket_of,
     build_network,
+    extract_features,
     group_events_by_url,
     load_network,
     parse_event,
@@ -219,6 +222,32 @@ def test_edge_count_bound(events):
     assert net.n_edges <= net.n_nodes * (net.n_nodes - 1)
 
 
+# --- integer index views ----------------------------------------------------
+
+
+@given(util.graphs(min_nodes=0, max_nodes=14))
+@example((0, []))  # empty
+@example((12, []))  # edgeless
+@example((12, [(2, 10), (10, 2), (11, 3), (3, 11), (1, 0)]))  # reciprocated pairs
+def test_index_views_match_set_oracle(g):
+    # unpadded names: n10 sorts before n2, so index order is not insertion order
+    n, arcs = g
+    net = DiffusionNetwork(
+        network_id="g",
+        nodes=frozenset(f"n{i}" for i in range(n)),
+        edges=frozenset((f"n{u}", f"n{v}") for u, v in arcs),
+    )
+    oracle_arcs, oracle_out, oracle_und = util.oracle_index_views(net)
+    sources, targets = net.arcs
+    assert sources.dtype == targets.dtype == np.int64
+    assert list(zip(sources.tolist(), targets.tolist())) == oracle_arcs
+    assert net.out_lists == oracle_out
+    assert net.und_lists == oracle_und
+    # the pure-Python graph loops need plain ints, not numpy scalars
+    assert all(type(v) is int for row in net.out_lists + net.und_lists for v in row)
+    assert net.sorted_nodes == tuple(sorted(net.nodes))
+
+
 # --- size buckets -----------------------------------------------------------
 
 
@@ -250,8 +279,11 @@ def test_every_count_in_exactly_one_non_all_bucket(n):
 
 
 def test_bucket_of_uses_node_count():
+    # a sample's bucket is derived from its node count
     net = build_network([ev("t0", "A", None, Interaction.ORIGINAL)], URL)
-    assert bucket_of(net) is SizeBucket.D_0_100
+    sample = Sample(net.network_id, extract_features(net), net.label, net.bias, net.n_nodes)
+    assert sample.bucket is SizeBucket.D_0_100
+    assert replace(sample, n_nodes=1000).bucket is SizeBucket.D_1000_INF
 
 
 # --- events file ingestion --------------------------------------------------
@@ -435,6 +467,6 @@ def test_relabeled_preserves_structure():
         [ev("t0", "A", None, Interaction.ORIGINAL), ev("t1", "B", "A", Interaction.RETWEET)],
         URL,
     )
-    renamed = net.relabeled({"A": "x", "B": "y"})
+    renamed = util.relabeled(net, {"A": "x", "B": "y"})
     assert renamed.edges == frozenset({("x", "y")})
     assert renamed.tweet_count == net.tweet_count

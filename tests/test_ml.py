@@ -50,7 +50,6 @@ def make_sample(i: int, row, label: Label, n_nodes: int = 50) -> Sample:
         features=FeatureVector(*row),
         label=label,
         bias=Bias.NONE,
-        bucket=SizeBucket.from_node_count(n_nodes),
         n_nodes=n_nodes,
     )
 

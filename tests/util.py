@@ -7,6 +7,7 @@ enumeration, peel-one-node-at-a-time cores) so agreement is meaningful.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import numpy as np
@@ -38,6 +39,15 @@ def make_network(n: int, arcs, network_id: str = "g", **kwargs) -> DiffusionNetw
         nodes=frozenset(node_name(i) for i in range(n)),
         edges=frozenset((node_name(u), node_name(v)) for u, v in arcs),
         **kwargs,
+    )
+
+
+def relabeled(network: DiffusionNetwork, mapping) -> DiffusionNetwork:
+    """An isomorphic copy of ``network`` with its nodes renamed through ``mapping``."""
+    return replace(
+        network,
+        nodes=frozenset(mapping[u] for u in network.nodes),
+        edges=frozenset((mapping[u], mapping[v]) for u, v in network.edges),
     )
 
 
@@ -87,6 +97,26 @@ def adjacency(n: int, arcs) -> np.ndarray:
     for u, v in arcs:
         a[u, v] = True
     return a
+
+
+# --- index views (per-node sets) --------------------------------------------
+
+
+def oracle_index_views(network: DiffusionNetwork):
+    """``(arcs, out_lists, und_lists)`` of ``network`` built from per-node
+    index sets: arcs as a sorted list of (source, target) index pairs, and
+    the lists as tuples of sorted index tuples, nodes indexed in sorted
+    name order."""
+    index = {u: i for i, u in enumerate(sorted(network.nodes))}
+    out = [set() for _ in index]
+    inc = [set() for _ in index]
+    for u, v in network.edges:
+        out[index[u]].add(index[v])
+        inc[index[v]].add(index[u])
+    out_lists = tuple(tuple(sorted(s)) for s in out)
+    und_lists = tuple(tuple(sorted(a | b)) for a, b in zip(out, inc))
+    arcs = [(u, v) for u, succ in enumerate(out_lists) for v in succ]
+    return arcs, out_lists, und_lists
 
 
 # --- component oracles (matrix-power reachability) --------------------------
