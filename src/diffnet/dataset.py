@@ -162,16 +162,27 @@ def write_distance_matrix(ids: Sequence[str], matrix: np.ndarray, path: str | Pa
     """Square CSV with the network ids as both header row and first column.
 
     Cells hold ``repr`` of each value. Value text never needs csv
-    quoting, so each row is one join; rows are formatted one at a time,
-    so memory holds one row of text.
+    quoting, so each row is one join. A cell below the diagonal whose
+    value is bit-identical to its mirror above (so ``-0.0`` and ``0.0``
+    differ) reuses the mirror's text. Each text above the diagonal is
+    held until the row below uses it, at most a quarter of the cells.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.shape != (len(ids), len(ids)):
         raise ValueError(f"matrix shape {matrix.shape} does not match {len(ids)} ids")
+    bits = matrix.view(np.int64)
+    # per row above, its texts right of the diagonal not yet used, last
+    # column first: popping each gives column i of the rows above row i
+    pending: list[list[str]] = []
     with Path(path).open("w", newline="") as fh:
         csv.writer(fh).writerow(["network_id", *ids])
-        for network_id, row in zip(ids, matrix):
-            fh.write(_csv_field(network_id) + "," + ",".join(map(repr, row.tolist())) + "\r\n")
+        for i, (network_id, row) in enumerate(zip(ids, matrix)):
+            left = list(map(list.pop, pending))
+            for j in np.flatnonzero(bits[i, :i] != bits[:i, i]).tolist():
+                left[j] = repr(float(row[j]))
+            right = list(map(repr, row[i:].tolist()))
+            pending.append(right[:0:-1])
+            fh.write(_csv_field(network_id) + "," + ",".join(left + right) + "\r\n")
 
 
 def read_distance_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:
@@ -201,7 +212,10 @@ def read_distance_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:
                 )
             row_ids.append(row[0])
             values = matrix[len(row_ids) - 1]
-            values[:] = [float(v) for v in row[1:]]
+            try:
+                values[:] = list(map(float, row[1:]))
+            except ValueError as exc:  # names the cell: could not convert string to float: 'x'
+                raise FileFormatError(str(exc), path=path, line_no=line_no) from None
             if not np.isfinite(values).all():
                 raise FileFormatError("non-finite distance", path=path, line_no=line_no)
         if row_ids != ids:

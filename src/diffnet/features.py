@@ -187,8 +187,8 @@ def local_clustering(network: DiffusionNetwork, variant: ClusteringVariant = Clu
     n = network.n_nodes
     coeffs = np.zeros(n, dtype=np.float64)
     und = network.und_lists
+    neighbours = [frozenset(nbrs) for nbrs in und]
     if variant is ClusteringVariant.UNDIRECTED:
-        neighbours = [frozenset(nbrs) for nbrs in und]
         for u in range(n):
             nbrs = neighbours[u]
             d = len(nbrs)
@@ -210,12 +210,14 @@ def local_clustering(network: DiffusionNetwork, variant: ClusteringVariant = Clu
         denom = d_tot * (d_tot - 1) - 2 * d_bi
         if denom <= 0:
             continue
-        nbrs = und[u]
-        triangles = 0
-        for i, v in enumerate(nbrs):
-            for x in nbrs[i + 1 :]:
-                triangles += w(u, v) * w(v, x) * w(x, u)
-        coeffs[u] = triangles / denom
+        # each triangle u-v-x is met from v and from x, so the sum is twice
+        # the total of w(u, v) * w(v, x) * w(x, u) over the triangles
+        twice = 0
+        for v in und[u]:
+            common = neighbours[u] & neighbours[v]
+            if common:
+                twice += w(u, v) * sum(w(v, x) * w(x, u) for x in common)
+        coeffs[u] = twice // 2 / denom
     return coeffs
 
 

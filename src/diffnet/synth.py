@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from itertools import chain
+from typing import Callable
 
 import numpy as np
 
@@ -91,6 +93,50 @@ def node_count(recipe: CascadeRecipe) -> int:
     return recipe.n_cascades + int(sizes.sum())
 
 
+_BLOCK = 256  # words per random_raw call: timing generate, 64-512 were level
+_DOUBLE = 2.0**-53  # (word >> 11) * _DOUBLE is what Generator.random() returns
+_LOW = 0xFFFFFFFF
+
+
+def _draws(bit_generator: np.random.BitGenerator) -> tuple[Callable[[], int], Callable[[int], int]]:
+    """``(word, integers)`` over the raw output of a PCG64 ``bit_generator``.
+
+    ``word()`` is its next 64-bit output, taken from ``random_raw`` blocks
+    of ``_BLOCK`` words, so the generator runs ahead of the words used and
+    must not be drawn from again. ``integers(k)`` is
+    ``Generator.integers(k)`` for 1 <= k < 2**32, as numpy draws it: k = 1
+    takes no draw; otherwise Lemire's method on 32-bit draws, rejecting
+    while the low half of draw * k is below (2**32 - k) % k. A 32-bit draw
+    is the low half of a fresh word, whose high half is kept as the spare
+    for the next 32-bit draw (doubles never touch it); the spare starts as
+    the one in ``bit_generator.state``.
+    """
+    state = bit_generator.state
+    spare = state["uinteger"] if state["has_uint32"] else None
+    blocks = iter(lambda: bit_generator.random_raw(_BLOCK).tolist(), None)  # never ends
+    word = chain.from_iterable(blocks).__next__
+
+    def integers(k: int) -> int:
+        nonlocal spare
+        if k == 1:
+            return 0
+        if not 1 < k <= _LOW:
+            raise ValueError(f"k must be in [1, 2**32), got {k}")
+        while True:
+            if spare is None:
+                draw = word()
+                spare = draw >> 32
+                draw &= _LOW
+            else:
+                draw, spare = spare, None
+            m = draw * k
+            leftover = m & _LOW
+            if leftover >= k or leftover >= (_LOW + 1 - k) % k:
+                return m >> 32
+
+    return word, integers
+
+
 def generate(
     recipe: CascadeRecipe,
     profile: ClassProfile,
@@ -103,13 +149,21 @@ def generate(
     (``node_count``). Edges follow the information flow. ``tweet_count``
     counts one original per cascade, one retweet per audience member and
     one tweet per closure link.
+
+    The stream is ``np.random.default_rng(recipe.seed)``: audience sizes by
+    ``power_law_audience_sizes``, then per audience member the numbers
+    ``rng.random()`` and ``rng.integers`` would give, in the same order,
+    computed by ``_draws`` from raw PCG64 words. The tests pin both against
+    real numpy calls, so a numpy release that draws differently fails them.
     """
     rng = np.random.default_rng(recipe.seed)
     sizes = power_law_audience_sizes(
         rng, recipe.n_cascades, recipe.audience_exponent, recipe.audience_min, recipe.audience_max
     )
-    # local names: the loop below runs once per audience member
-    random, integers = rng.random, rng.integers
+    # the loop below runs once per audience member: its draws come from
+    # _draws, the same numbers as rng.random() and rng.integers(k)
+    word, integers = _draws(rng.bit_generator)
+    double = _DOUBLE
     depth_bias, reply_prob, reciprocity_prob = recipe.depth_bias, recipe.reply_prob, recipe.reciprocity_prob
     mention_prob, quote_prob = recipe.mention_prob, recipe.quote_prob
     parent_of = [0] * (recipe.n_cascades + int(sizes.sum()))
@@ -119,38 +173,39 @@ def generate(
     root = 0
     for size in sizes.tolist():
         for actor in range(root + 1, root + 1 + size):
-            if actor - root > 1 and random() < depth_bias:
-                parent = root + int(integers(1, actor - root))
+            if actor - root > 1 and (word() >> 11) * double < depth_bias:
+                parent = root + 1 + integers(actor - root - 1)  # rng.integers(1, actor - root)
             else:
                 parent = root
             edges.add((parent, actor))  # the retweet
             parent_of[actor] = parent
             # triangle closure: reply to the grandparent alongside the retweet
-            if parent != root and random() < reply_prob:
+            if parent != root and (word() >> 11) * double < reply_prob:
                 edges.add((parent_of[parent], actor))
                 tweets += 1
             # reciprocated arc: the parent replies back to the retweeter
-            if random() < reciprocity_prob:
+            if (word() >> 11) * double < reciprocity_prob:
                 edges.add((actor, parent))
                 tweets += 1
             # cross-cascade links merge weak components
-            if cascades and random() < mention_prob:
-                other, members = cascades[int(integers(len(cascades)))]
-                edges.add((actor, other + int(integers(members))))
+            if cascades and (word() >> 11) * double < mention_prob:
+                other, members = cascades[integers(len(cascades))]
+                edges.add((actor, other + integers(members)))
                 tweets += 1
-            if cascades and random() < quote_prob:
-                other, members = cascades[int(integers(len(cascades)))]
-                edges.add((other + int(integers(members)), actor))
+            if cascades and (word() >> 11) * double < quote_prob:
+                other, members = cascades[integers(len(cascades))]
+                edges.add((other + integers(members), actor))
                 tweets += 1
         cascades.append((root, 1 + size))
         tweets += 1 + size
         root += 1 + size
 
     names = [f"u{i}" for i in range(root)]
+    sources, targets = zip(*edges)  # never empty: every audience member retweets
     return DiffusionNetwork(
         network_id=network_id if network_id is not None else f"synth-{profile.value}-{recipe.seed}",
         nodes=frozenset(names),
-        edges=frozenset((names[u], names[v]) for u, v in edges),
+        edges=frozenset(zip(map(names.__getitem__, sources), map(names.__getitem__, targets))),
         label=_PROFILE_LABELS[profile],
         bias=Bias.NONE,
         tweet_count=tweets,

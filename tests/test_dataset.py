@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -168,14 +169,35 @@ def test_distance_matrix_bytes_match_per_cell_repr(tmp_path):
     matrix = pool[rng.integers(0, len(pool), size=(len(ids), len(ids)))]
     path = tmp_path / "d.csv"
     write_distance_matrix(ids, matrix, path)
-    expected = tmp_path / "expected.csv"
-    with expected.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["network_id", *ids])
-        for i, network_id in enumerate(ids):
-            writer.writerow([network_id] + [repr(float(v)) for v in matrix[i]])
-    assert path.read_bytes() == expected.read_bytes()
+    assert path.read_bytes() == _per_cell_repr_csv(ids, matrix)
     assert b"-0.0," in path.read_bytes() and b"5e-324" in path.read_bytes()
+    loaded_ids, loaded = read_distance_matrix(path)
+    assert loaded_ids == ids
+    assert np.array_equal(loaded.view(np.int64), matrix.view(np.int64))
+
+
+def _per_cell_repr_csv(ids, matrix) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["network_id", *ids])
+    for i, network_id in enumerate(ids):
+        writer.writerow([network_id] + [repr(float(v)) for v in matrix[i]])
+    return buf.getvalue().encode()
+
+
+def test_distance_matrix_mirrored_cells_keep_their_own_text(tmp_path):
+    # a symmetric matrix (lower cells reuse the text above) with a few
+    # cells broken out of symmetry, including a mirrored -0.0 / 0.0 pair
+    ids = ['q"uote', "com,ma", "a", "b", "c", "d", "e"]
+    rng = np.random.default_rng(11)
+    upper = np.triu(rng.random((len(ids), len(ids))), 1)
+    matrix = upper + upper.T
+    matrix[4, 1] = 7.5
+    matrix[1, 5], matrix[5, 1] = 0.0, -0.0
+    matrix[6, 2] = np.nextafter(matrix[2, 6], 1.0)
+    path = tmp_path / "d.csv"
+    write_distance_matrix(ids, matrix, path)
+    assert path.read_bytes() == _per_cell_repr_csv(ids, matrix)
     loaded_ids, loaded = read_distance_matrix(path)
     assert loaded_ids == ids
     assert np.array_equal(loaded.view(np.int64), matrix.view(np.int64))
@@ -204,6 +226,13 @@ def test_distance_matrix_non_finite_rejected(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("network_id,a,b\na,0.0,1.0\nb,nan,0.0\n")
     with pytest.raises(FileFormatError, match="d.csv:3: non-finite"):
+        read_distance_matrix(path)
+
+
+def test_distance_matrix_bad_cell_names_its_line(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("network_id,a,b\na,0.0,1.0\nb,x,0.0\n")
+    with pytest.raises(FileFormatError, match="d.csv:3: could not convert string to float: 'x'"):
         read_distance_matrix(path)
 
 

@@ -22,7 +22,7 @@ from diffnet import (
     strongly_connected_component_sizes,
     weakly_connected_components,
 )
-from diffnet.features import component_features
+from diffnet.features import component_features, local_clustering
 
 import util
 from util import graphs, make_network
@@ -190,6 +190,43 @@ def test_directed_clustering_matches_matrix_oracle(g):
     n, arcs = g
     value = average_clustering(make_network(n, arcs), ClusteringVariant.DIRECTED)
     assert value == pytest.approx(util.oracle_directed_clustering(n, arcs), abs=1e-12)
+
+
+def _chorded_star(leaves: int, spokes: str):
+    """(n, arcs, per-node directed clustering) of a star on hub 0 whose
+    spokes point ``out``, ``in`` or ``both`` ways, with one chord
+    2k-1 -> 2k per pair in the first half of the leaves.
+
+    Spoke weight s (1, or 2 both ways): the hub closes one triangle of
+    weight s*s per chord over a denominator of d(d-1) - 2*d_bi with
+    d = s*leaves; a chorded leaf closes the same triangle over (s+1)s -
+    2*(s == 2), and a chordless leaf has a zero denominator."""
+    chords = leaves // 4
+    out = [(0, i) for i in range(1, leaves + 1)]
+    arcs = {"out": out, "in": [(v, u) for u, v in out], "both": out + [(v, u) for u, v in out]}[spokes]
+    arcs = arcs + [(2 * k - 1, 2 * k) for k in range(1, chords + 1)]
+    s = 2 if spokes == "both" else 1
+    d = s * leaves
+    values = np.zeros(leaves + 1)
+    values[0] = chords * s * s / (d * (d - 1) - 2 * leaves * (s == 2))
+    values[1 : 2 * chords + 1] = s * s / ((s + 1) * s - 2 * (s == 2))
+    return leaves + 1, arcs, values
+
+
+@pytest.mark.parametrize("spokes", ["out", "in", "both"])
+def test_directed_clustering_of_chorded_star_matches_matrix_oracle(spokes):
+    n, arcs, values = _chorded_star(40, spokes)
+    assert values[0] > 0
+    assert values.mean() == pytest.approx(util.oracle_directed_clustering(n, arcs), abs=1e-12)
+
+
+@pytest.mark.parametrize("spokes", ["out", "in", "both"])
+def test_directed_clustering_of_three_thousand_leaf_star(spokes):
+    # the hub has 3,000 neighbours, about 4.5 million pairs of them
+    n, arcs, values = _chorded_star(3000, spokes)
+    net = make_network(n, arcs)
+    order = np.argsort([util.node_name(i) for i in range(n)])  # n1000 sorts before n999
+    assert np.array_equal(local_clustering(net, ClusteringVariant.DIRECTED), values[order])
 
 
 def test_directed_clustering_zero_without_reciprocal_denominator():

@@ -19,7 +19,7 @@ from diffnet import (
     mean_audience_size,
     recipe_for,
 )
-from diffnet.synth import node_count, power_law_audience_sizes
+from diffnet.synth import _DOUBLE, _draws, node_count, power_law_audience_sizes
 
 
 # --- recipe validation ------------------------------------------------------
@@ -167,6 +167,57 @@ def test_ensemble_matches_oracle_that_builds_every_attempt(bucket, seed):
         assert generate_ensemble(profile, bucket, 8, seed=seed) == util.oracle_generate_ensemble(
             profile, bucket, 8, seed=seed
         )
+
+
+_STREAM_RANGES = (1, 2, 3, 7, 1000, 2**31 + 1, 3 * 2**30, 2**32 - 1)
+
+
+@pytest.mark.parametrize("spare_on_entry", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2**63 - 1])
+def test_draws_match_numpy_random_and_integers(seed, spare_on_entry):
+    # k = 2**31 + 1 and 3 * 2**30 reject about a half and a quarter of
+    # their 32-bit draws, a loop the generator oracle test practically
+    # never reaches
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    if spare_on_entry:
+        assert rng.integers(5) == twin.integers(5)  # keeps the high half
+    assert rng.bit_generator.state["has_uint32"] == spare_on_entry
+    word, integers = _draws(rng.bit_generator)
+    ops = np.random.default_rng([seed, 1]).integers(0, len(_STREAM_RANGES) + 1, size=3000)
+    for op in ops.tolist():
+        if op == len(_STREAM_RANGES):
+            assert (word() >> 11) * _DOUBLE == twin.random()
+        else:
+            k = _STREAM_RANGES[op]
+            assert integers(k) == twin.integers(k)
+
+
+class _RepeatingWord:
+    """A stand-in bit generator whose every 64-bit output is ``word``."""
+
+    state = {"has_uint32": 0, "uinteger": 0}
+
+    def __init__(self, word: int):
+        self.word = word
+
+    def random_raw(self, size: int) -> np.ndarray:
+        return np.full(size, self.word, dtype=np.uint64)
+
+
+def test_draws_reject_just_below_the_lemire_threshold():
+    # k = 2**31 + 1 rejects while the low half of draw * k is below
+    # (2**32 - k) % k = 2**31 - 1; an even draw x leaves x itself. The low
+    # half 2**31 - 2 is rejected, and the spare high half 2**31 accepted.
+    k = 2**31 + 1
+    _, integers = _draws(_RepeatingWord(2**31 << 32 | (2**31 - 2)))
+    assert integers(k) == (2**31 * k) >> 32 == 2**30
+
+
+def test_draws_reject_ranges_numpy_draws_another_way():
+    _, integers = _draws(np.random.default_rng(0).bit_generator)
+    for k in (0, 2**32, 2**40):
+        with pytest.raises(ValueError, match="k must be"):
+            integers(k)
 
 
 def test_custom_network_id_flows_through():
