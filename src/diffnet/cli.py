@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset as ds
-from .errors import DiffnetError
+from .errors import DatasetError, DiffnetError
 from .features import ClusteringVariant, extract_features
 from .graphs import (
     Bias,
@@ -112,8 +112,9 @@ def network_id_for_url(url: str) -> str:
 
 
 def _write_corpus(out_dir: Path, networks: list[DiffusionNetwork]) -> Path:
-    """Save each network as ``<id>.edges``/``<id>.nodes`` in out_dir and merge
-    its entry into out_dir/manifest.csv, newer rows replacing same ids.
+    """Save each network as ``<id>.edges`` (with its node file, see
+    ``save_network``) in out_dir and merge its entry into
+    out_dir/manifest.csv, newer rows replacing same ids.
 
     Every node name is checked before any file is written, so a name the
     edge list cannot carry leaves out_dir as it was."""
@@ -126,7 +127,7 @@ def _write_corpus(out_dir: Path, networks: list[DiffusionNetwork]) -> Path:
             merged[entry.network_id] = entry
     for network in networks:
         edges_path = out_dir / f"{network.network_id}.edges"
-        save_network(network, edges_path, nodes_path=out_dir / f"{network.network_id}.nodes")
+        save_network(network, edges_path)
         merged[network.network_id] = ds.ManifestEntry(
             network_id=network.network_id,
             path=edges_path.name,
@@ -145,11 +146,13 @@ def _write_corpus(out_dir: Path, networks: list[DiffusionNetwork]) -> Path:
 def cmd_build(args: argparse.Namespace, config: RunConfig) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    events, skipped = read_events(args.events_file, skip_malformed=True)
+    events, skipped = read_events(args.events_file)
+    if skipped:
+        print(f"warning: skipped {len(skipped)} malformed event lines", file=sys.stderr)
+        for line_no, reason in skipped:
+            print(f"warning: {args.events_file}:{line_no}: {reason}", file=sys.stderr)
     if not events:
         raise DiffnetError(f"no events in {args.events_file}")
-    if skipped:
-        print(f"warning: skipped {skipped} malformed event lines", file=sys.stderr)
 
     networks = [
         build_network(
@@ -188,7 +191,7 @@ def cmd_features(args: argparse.Namespace, config: RunConfig) -> int:
     failures = []
     for entry in entries:
         try:
-            network = load_network(entry.resolve_path(manifest_path.parent), fmt="edgelist")
+            network = load_network(entry.resolve_path(manifest_path.parent))
             fv = extract_features(network, clustering=config.clustering)
         except (DiffnetError, OSError, ValueError) as exc:
             failures.append((entry.network_id, str(exc)))
@@ -209,7 +212,7 @@ def _signature_task(task: tuple[Path, str, RunConfig]) -> np.ndarray | None:
     None for a network the dgcd13 matrix excludes. Tasks carry paths, so
     only paths and signatures cross the worker pool."""
     path, network_id, config = task
-    network = load_network(path, fmt="edgelist", network_id=network_id)
+    network = load_network(path, network_id=network_id)
     if config.distance == "portrait":
         return portrait(network, undirected=config.portrait_undirected)
     if not config.include_large and network.n_nodes >= LARGE_NETWORK_THRESHOLD:
@@ -280,7 +283,19 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
     if args.distances:
         distances = ds.read_distance_matrix(args.distances)
         matrix_ids = set(distances[0])
-        samples = [s for s in samples if s.network_id in matrix_ids]
+        lacking = sorted(s.network_id for s in samples if s.network_id not in matrix_ids)
+        if lacking:
+            if len(lacking) == len(samples):
+                raise DatasetError(
+                    f"distance matrix {args.distances} holds none of the "
+                    f"{len(samples)} selected feature-table ids"
+                )
+            print(
+                f"warning: distance matrix lacks {len(lacking)} feature-table ids, "
+                f"left out: {', '.join(lacking)}",
+                file=sys.stderr,
+            )
+            samples = [s for s in samples if s.network_id in matrix_ids]
     if config.classifier == "knn-distance" and distances is None:
         raise DiffnetError("classifier knn-distance requires --distances")
     dataset = ds.dataset_from_samples(samples, distances=distances)

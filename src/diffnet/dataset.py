@@ -27,8 +27,31 @@ from .portraits import divergence_from_portraits, portrait_distributions
 
 MANIFEST_COLUMNS = ("network_id", "path", "label", "bias", "tweet_count")
 FEATURE_TABLE_COLUMNS = ("network_id", "label", "bias", "n_nodes") + FEATURE_NAMES
+_FEATURE_NUMBER_COLUMNS = ("n_nodes",) + FEATURE_NAMES
 
 _Item = TypeVar("_Item")  # ManifestEntry or Sample: has network_id, label and bias
+
+
+#: Characters ``float`` and ``int`` accept around or inside a number but no
+#: writer here produces: whitespace and the digit separator ``_``.
+_NOT_IN_NUMBERS = ("_", " ", "\t", "\n", "\r", "\v", "\f")
+
+
+def _plain(text: str) -> bool:
+    return text.isascii() and not any(c in text for c in _NOT_IN_NUMBERS)
+
+
+def _check_number_cells(cells: Sequence[str | None], path: Path, line_no: int) -> None:
+    """Raise :class:`FileFormatError` at ``line_no`` unless every cell is
+    present and plain (``1_0``, `` 2.5 `` and non-ASCII digits are not).
+    The row is checked as one string; single cells only to name the bad one."""
+    try:
+        plain = _plain("".join(cells))
+    except TypeError:  # csv.DictReader fills the cells a short row lacks with None
+        raise FileFormatError("row has too few cells", path=path, line_no=line_no) from None
+    if not plain:
+        bad = next(c for c in cells if not _plain(c))
+        raise FileFormatError(f"not a plain number: {bad!r}", path=path, line_no=line_no)
 
 
 @dataclass(frozen=True)
@@ -86,8 +109,9 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
                     line_no=line_no,
                 )
             first_line[network_id] = line_no
+            n_nodes_raw = row.get("n_nodes") or ""
+            _check_number_cells((row["tweet_count"], n_nodes_raw), path, line_no)
             try:
-                n_nodes_raw = (row.get("n_nodes") or "").strip()
                 entries.append(
                     ManifestEntry(
                         network_id=network_id,
@@ -131,9 +155,11 @@ def read_feature_table(path: str | Path) -> list[Sample]:
                 f"feature table missing columns: {', '.join(sorted(missing))}", path=path
             )
         for line_no, row in enumerate(reader, start=2):
+            cells = [row[name] for name in _FEATURE_NUMBER_COLUMNS]
+            _check_number_cells(cells, path, line_no)
             try:
-                n_nodes = int(row["n_nodes"])
-                fv = FeatureVector(**{name: float(row[name]) for name in FEATURE_NAMES})
+                n_nodes = int(cells[0])
+                fv = FeatureVector(*map(float, cells[1:]))
                 samples.append(
                     Sample(
                         network_id=row["network_id"],
@@ -210,10 +236,12 @@ def read_distance_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:
                 raise FileFormatError(
                     f"more rows than the {len(ids)} header ids", path=path, line_no=line_no
                 )
+            cells = row[1:]
+            _check_number_cells(cells, path, line_no)
             row_ids.append(row[0])
             values = matrix[len(row_ids) - 1]
             try:
-                values[:] = list(map(float, row[1:]))
+                values[:] = list(map(float, cells))
             except ValueError as exc:  # names the cell: could not convert string to float: 'x'
                 raise FileFormatError(str(exc), path=path, line_no=line_no) from None
             if not np.isfinite(values).all():

@@ -15,8 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyGraphError
-from .graphs import DiffusionNetwork, bfs_layers
+from .graphs import DiffusionNetwork, bfs_layers, has_arcs, require_nodes, triangles
 
 FEATURE_NAMES = ("scc", "lscc", "wcc", "lwcc", "dwcc", "cc", "kc")
 
@@ -44,14 +43,9 @@ class FeatureVector:
         )
 
 
-def _require_nonempty(network: DiffusionNetwork) -> None:
-    if network.n_nodes == 0:
-        raise EmptyGraphError(f"network {network.network_id!r} has no nodes")
-
-
 def strongly_connected_component_sizes(network: DiffusionNetwork) -> list[int]:
     """Sizes of all SCCs, via an iterative Tarjan traversal."""
-    _require_nonempty(network)
+    require_nodes(network)
     n = network.n_nodes
     out = network.out_lists
     index = [-1] * n
@@ -103,7 +97,7 @@ def strongly_connected_component_sizes(network: DiffusionNetwork) -> list[int]:
 
 def weakly_connected_components(network: DiffusionNetwork) -> list[list[int]]:
     """Node-index lists of the WCCs (connectivity ignoring edge direction)."""
-    _require_nonempty(network)
+    require_nodes(network)
     und = network.und_lists
     dist = [-1] * network.n_nodes  # never reset: a reached node is in a component
     components: list[list[int]] = []
@@ -176,49 +170,34 @@ def lwcc_diameter(network: DiffusionNetwork, wccs: list[list[int]] | None = None
 
 
 def local_clustering(network: DiffusionNetwork, variant: ClusteringVariant = ClusteringVariant.UNDIRECTED) -> np.ndarray:
-    """Per-node clustering coefficients.
+    """Per-node clustering coefficients, from one enumeration of the
+    triangles of the undirected view (``graphs.triangles``).
 
     ``UNDIRECTED``: triangles over connected triples in the undirected
     simple projection; nodes of degree < 2 contribute 0. ``DIRECTED``:
     the directed generalization over all edge orientations, with the
-    node's bilateral degree removed from the normalization.
+    node's bilateral degree removed from the normalization. There a
+    triangle weighs the product of its three pairs' arc counts (1 or 2),
+    and nodes whose normalization is not positive contribute 0.
     """
-    _require_nonempty(network)
+    require_nodes(network)
     n = network.n_nodes
-    coeffs = np.zeros(n, dtype=np.float64)
-    und = network.und_lists
-    neighbours = [frozenset(nbrs) for nbrs in und]
+    tri = triangles(network)
+    degree = np.fromiter(map(len, network.und_lists), dtype=np.int64, count=n)
     if variant is ClusteringVariant.UNDIRECTED:
-        for u in range(n):
-            nbrs = neighbours[u]
-            d = len(nbrs)
-            if d < 2:
-                continue
-            links = sum(len(nbrs & neighbours[v]) for v in nbrs) // 2
-            coeffs[u] = links / (d * (d - 1) / 2)
-        return coeffs
-
-    out = [frozenset(succ) for succ in network.out_lists]
-    in_degree = np.bincount(network.arcs[1], minlength=n).tolist()
-
-    def w(a: int, b: int) -> int:
-        return (b in out[a]) + (a in out[b])
-
-    for u in range(n):
-        d_tot = len(out[u]) + in_degree[u]
-        d_bi = d_tot - len(und[u])  # |out & in| = |out| + |in| - |out | in|
-        denom = d_tot * (d_tot - 1) - 2 * d_bi
-        if denom <= 0:
-            continue
-        # each triangle u-v-x is met from v and from x, so the sum is twice
-        # the total of w(u, v) * w(v, x) * w(x, u) over the triangles
-        twice = 0
-        for v in und[u]:
-            common = neighbours[u] & neighbours[v]
-            if common:
-                twice += w(u, v) * sum(w(v, x) * w(x, u) for x in common)
-        coeffs[u] = twice // 2 / denom
-    return coeffs
+        closed = np.bincount(tri.ravel(), minlength=n)
+        pairs = degree * (degree - 1) / 2
+    else:
+        ahead = np.roll(tri, -1, axis=1)  # row x, y, z: the pairs x-y, y-z and z-x
+        arc_counts = has_arcs(network, tri, ahead).astype(np.int64) + has_arcs(network, ahead, tri)
+        weight = np.repeat(arc_counts.prod(axis=1), 3)
+        # integer sums, exact in float64, so the order of the triangles is moot
+        closed = np.bincount(tri.ravel(), weights=weight, minlength=n)
+        sources, targets = network.arcs
+        d_tot = np.bincount(sources, minlength=n) + np.bincount(targets, minlength=n)
+        d_bi = d_tot - degree  # |out & in| = |out| + |in| - |out | in|
+        pairs = d_tot * (d_tot - 1) - 2 * d_bi
+    return np.divide(closed, pairs, out=np.zeros(n), where=pairs > 0)
 
 
 def average_clustering(network: DiffusionNetwork, variant: ClusteringVariant = ClusteringVariant.UNDIRECTED) -> float:
@@ -233,7 +212,7 @@ def core_numbers(network: DiffusionNetwork) -> list[int]:
     its degree at removal (capped from below by previously removed cores)
     is its core number.
     """
-    _require_nonempty(network)
+    require_nodes(network)
     n = network.n_nodes
     und = network.und_lists
     degree = [len(und[u]) for u in range(n)]

@@ -23,9 +23,9 @@ characterization of directed networks", Sci. Rep. 2016). Only one-way
 pairs take part in orbits 2-12. The wedge orbits 2-8 follow from degree
 arithmetic over the one-way pairs, counting every wedge as if its leaves
 were not adjacent. Only the triangles of the undirected view are
-enumerated, in degree order at O(m·sqrt(m)) cost: each one takes back the
-wedges the degree terms counted inside it and, when none of its pairs is
-reciprocated, adds its orbits 9-12.
+enumerated (``graphs.triangles``, at O(m·sqrt(m)) cost): each one takes
+back the wedges the degree terms counted inside it and, when none of its
+pairs is reciprocated, adds its orbits 9-12.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import EmptyGraphError
-from .graphs import DiffusionNetwork
+from .graphs import DiffusionNetwork, has_arcs, require_nodes, triangles
 from .ml import average_ranks
 
 N_ORBITS = 13
@@ -113,30 +112,6 @@ def _triangle_deltas() -> np.ndarray:
 _TRIANGLE_DELTAS = _triangle_deltas()
 
 
-def _triangles(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Every triangle of the undirected edges a-b once, as a (t, 3) array.
-
-    Nodes are ranked by (degree, index) and each edge points to its
-    higher-ranked end; the third nodes of an edge x->y are the common
-    higher-ranked neighbours of x and y.
-    """
-    rank = np.empty(n, dtype=np.int64)
-    degree = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
-    rank[np.argsort(degree, kind="stable")] = np.arange(n)
-    low = np.where(rank[a] < rank[b], a, b)
-    higher = [set() for _ in range(n)]
-    for x, y in zip(low.tolist(), (a + b - low).tolist()):
-        higher[x].add(y)
-    found = [(x, y, z) for x in range(n) for y in higher[x] for z in higher[x] & higher[y]]
-    return np.array(found, dtype=np.int64).reshape(-1, 3)
-
-
-def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Membership of ``keys`` in the sorted array ``sorted_keys``."""
-    found = np.take(sorted_keys, np.searchsorted(sorted_keys, keys), mode="clip")
-    return found == keys
-
-
 def count_orbits(network: DiffusionNetwork) -> np.ndarray:
     """Per-node counts of the 13 directed graphlet orbits, as exact int64.
 
@@ -147,12 +122,10 @@ def count_orbits(network: DiffusionNetwork) -> np.ndarray:
     and only they, are enumerated and corrected through their 6-bit
     signatures (see ``_triangle_deltas``).
     """
-    if network.n_nodes == 0:
-        raise EmptyGraphError(f"network {network.network_id!r} has no nodes")
+    require_nodes(network)
     n = network.n_nodes
     src, dst = network.arcs
-    arc_keys = src * n + dst  # sorted, as the arcs are
-    one_way = ~_contains(arc_keys, dst * n + src)
+    one_way = ~has_arcs(network, dst, src)
     s1, d1 = src[one_way], dst[one_way]
     o = np.bincount(s1, minlength=n)
     i = np.bincount(d1, minlength=n)
@@ -169,13 +142,10 @@ def count_orbits(network: DiffusionNetwork) -> np.ndarray:
     np.add.at(counts[:, 6], d1, i[s1])  # d ends the paths x->s->d
     np.add.at(counts[:, 7], s1, i[d1] - 1)  # s beside d's other in-only sources
 
-    single = one_way | (src < dst)  # each undirected pair once
-    tri = _triangles(n, src[single], dst[single])
+    tri = triangles(network)
     if len(tri):
-        sig = sum(
-            _contains(arc_keys, tri[:, a] * n + tri[:, b]).astype(np.int64) << bit
-            for bit, (a, b) in enumerate(_SIG_ARCS)
-        )
+        tails, heads = np.array(_SIG_ARCS).T
+        sig = (has_arcs(network, tri[:, tails], tri[:, heads]) << np.arange(6)).sum(axis=1)
         for p in range(3):
             np.add.at(counts, tri[:, p], _TRIANGLE_DELTAS[sig, p])
     return counts

@@ -12,7 +12,7 @@ import json
 import sys
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FileFormatError, MalformedEventError
+from .errors import EmptyGraphError, FileFormatError, MalformedEventError
 
 
 class Interaction(str, Enum):
@@ -195,6 +195,49 @@ def _rows(n: int, sources: np.ndarray, targets: np.ndarray) -> tuple[tuple[int, 
     return tuple(flat[start:end] for start, end in zip([0] + ends, ends))
 
 
+def require_nodes(network: DiffusionNetwork) -> None:
+    """Raise :class:`EmptyGraphError` if ``network`` has no nodes; every
+    analysis of a network starts with this check."""
+    if network.n_nodes == 0:
+        raise EmptyGraphError(f"network {network.network_id!r} has no nodes")
+
+
+def has_arcs(network: DiffusionNetwork, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Elementwise, whether the arc ``sources -> targets`` is in ``network``,
+    looked up in the sorted keys of ``network.arcs``."""
+    n = network.n_nodes
+    src, dst = network.arcs
+    # sorted, as the arcs are; the end key n*n is above every arc's, so
+    # each search lands on a key, even in a network without arcs
+    keys = np.append(src * n + dst, n * n)
+    wanted = sources * n + targets
+    return keys[np.searchsorted(keys, wanted)] == wanted
+
+
+def triangles(network: DiffusionNetwork) -> np.ndarray:
+    """Every triangle of the undirected view once, as a (t, 3) array of
+    node indices in no particular order.
+
+    Nodes are ranked by (degree, index) and each edge points to its
+    higher-ranked end; the third nodes of an edge x->y are the common
+    higher-ranked neighbours of x and y, so a hub costs its triangles,
+    not its neighbour pairs (O(m·sqrt(m)) in all).
+    """
+    n = network.n_nodes
+    src, dst = network.arcs
+    single = (src < dst) | ~has_arcs(network, dst, src)  # each undirected pair once
+    a, b = src[single], dst[single]
+    rank = np.empty(n, dtype=np.int64)
+    degree = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+    rank[np.argsort(degree, kind="stable")] = np.arange(n)
+    low = np.where(rank[a] < rank[b], a, b)
+    higher = [set() for _ in range(n)]
+    for x, y in zip(low.tolist(), (a + b - low).tolist()):
+        higher[x].add(y)
+    found = [(x, y, z) for x in range(n) for y in higher[x] for z in higher[x] & higher[y]]
+    return np.array(found, dtype=np.int64).reshape(-1, 3)
+
+
 def bfs_layers(
     adj: Sequence[Sequence[int]], sources: Sequence[int], dist: list[int]
 ) -> tuple[list[int], list[int]]:
@@ -314,16 +357,15 @@ def parse_event(obj: Mapping) -> InteractionEvent:
     )
 
 
-def read_events(path, *, skip_malformed: bool = False) -> tuple[list[InteractionEvent], int]:
-    """Read a JSONL events file.
+def read_events(path) -> tuple[list[InteractionEvent], list[tuple[int, str]]]:
+    """Read a JSONL events file, skipping the lines that are not valid events.
 
-    Returns (events, number of skipped lines). With ``skip_malformed=False``
-    the first bad line raises :class:`FileFormatError` with its line number.
+    Returns (events, skipped): the events in file order and, per skipped
+    line, its line number and the reason.
     """
-    path = Path(path)
     events: list[InteractionEvent] = []
-    skipped = 0
-    with path.open("r", encoding="utf-8") as fh:
+    skipped: list[tuple[int, str]] = []
+    with Path(path).open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -331,10 +373,7 @@ def read_events(path, *, skip_malformed: bool = False) -> tuple[list[Interaction
             try:
                 events.append(parse_event(json.loads(line)))
             except (json.JSONDecodeError, MalformedEventError, ValueError, TypeError) as exc:
-                if skip_malformed:
-                    skipped += 1
-                    continue
-                raise FileFormatError(str(exc), path=path, line_no=line_no) from exc
+                skipped.append((line_no, str(exc)))
     return events, skipped
 
 
@@ -377,8 +416,14 @@ def check_node_names(network: DiffusionNetwork, edges_path) -> None:
             )
 
 
-def save_network(network: DiffusionNetwork, edges_path, nodes_path=None) -> None:
-    """Write ``src<TAB>dst`` lines plus a node manifest preserving isolates.
+def _nodes_path(edges_path: Path) -> Path:
+    """The node-manifest file kept beside an edge file."""
+    return edges_path.with_suffix(".nodes")
+
+
+def save_network(network: DiffusionNetwork, edges_path) -> None:
+    """Write ``src<TAB>dst`` lines to ``edges_path`` and every node name,
+    one per line, to the ``.nodes`` file beside it, so isolates survive.
 
     A node name the edge list cannot carry raises :class:`FileFormatError`
     (see ``check_node_names``) before anything is written.
@@ -389,53 +434,20 @@ def save_network(network: DiffusionNetwork, edges_path, nodes_path=None) -> None
         fh.write(DIRECTED_HEADER + "\n")
         for u, v in sorted(network.edges):
             fh.write(f"{u}\t{v}\n")
-    if nodes_path is not None:
-        with Path(nodes_path).open("w", encoding="utf-8") as fh:
-            for u in network.sorted_nodes:
-                fh.write(u + "\n")
+    with _nodes_path(edges_path).open("w", encoding="utf-8") as fh:
+        for u in network.sorted_nodes:
+            fh.write(u + "\n")
 
 
-def load_network(
-    path,
-    fmt: str = "edgelist",
-    *,
-    nodes_path=None,
-    network_id: str | None = None,
-    label: Label = Label.UNLABELED,
-    bias: Bias = Bias.NONE,
-    tweet_count: int = 0,
-    direction: EdgeDirection = EdgeDirection.INFO_FLOW,
-) -> DiffusionNetwork:
-    """Load a network from disk.
+def load_network(path, *, network_id: str | None = None) -> DiffusionNetwork:
+    """Load a network from a tab-separated edge list.
 
-    ``fmt="edgelist"``: tab-separated edge lines, ``#``-prefixed lines are
-    comments, duplicate lines collapse with a warning, self-loop lines are
-    rejected. A companion node-manifest file (``nodes_path``, defaulting to
-    the edge file with a ``.nodes`` suffix when present) restores isolated
-    nodes. ``fmt="events"``: a JSONL events file that must contain exactly
-    one distinct URL.
+    ``#``-prefixed lines are comments, duplicate lines collapse with a
+    warning, and self-loop lines are rejected. The ``.nodes`` file beside
+    the edge file, when present, restores isolated nodes. The network id
+    defaults to the file's stem.
     """
     path = Path(path)
-    if fmt == "events":
-        events, _ = read_events(path)
-        if not events:
-            raise FileFormatError("no events in file", path=path)
-        urls = sorted({e.url for e in events})
-        if len(urls) > 1:
-            raise FileFormatError(
-                f"events file contains {len(urls)} distinct URLs; expected one", path=path
-            )
-        return build_network(
-            events,
-            urls[0],
-            direction=direction,
-            network_id=network_id or path.stem,
-            label=label,
-            bias=bias,
-        )
-    if fmt != "edgelist":
-        raise ValueError(f"unknown network format {fmt!r}")
-
     edges: set[tuple[str, str]] = set()
     nodes: set[str] = set()
     duplicates = 0
@@ -460,12 +472,9 @@ def load_network(
     if duplicates:
         warnings.warn(f"{path}: collapsed {duplicates} duplicate edge line(s)", stacklevel=2)
 
-    if nodes_path is None:
-        candidate = path.with_suffix(".nodes")
-        if candidate.exists():
-            nodes_path = candidate
-    if nodes_path is not None:
-        with Path(nodes_path).open("r", encoding="utf-8") as fh:
+    nodes_path = _nodes_path(path)
+    if nodes_path.exists():
+        with nodes_path.open("r", encoding="utf-8") as fh:
             for line in fh:
                 name = line.strip()
                 if name:
@@ -475,7 +484,4 @@ def load_network(
         network_id=network_id or path.stem,
         nodes=frozenset(nodes),
         edges=frozenset(edges),
-        label=label,
-        bias=bias,
-        tweet_count=tweet_count,
     )

@@ -19,8 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import EmptyGraphError
-from .graphs import DiffusionNetwork
+from .graphs import DiffusionNetwork, require_nodes
 
 # twin classes per bit-parallel BFS pass, one bit each
 _BATCH = 2048
@@ -107,9 +106,8 @@ def shell_counts(network: DiffusionNetwork, undirected: bool = False) -> np.ndar
     class's layer sizes count its newly set bits, and a member's own layer
     is the level at which its class bit reaches it.
     """
+    require_nodes(network)
     n = network.n_nodes
-    if n == 0:
-        raise EmptyGraphError(f"network {network.network_id!r} has no nodes")
     adj = network.und_lists if undirected else network.out_lists
     twins = dict.fromkeys(adj)
     for c, nbrs in enumerate(twins):

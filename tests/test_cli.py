@@ -152,6 +152,18 @@ def test_build_empty_events_file_is_fatal(tmp_path, capsys):
     assert "error: no events in" in capsys.readouterr().err
 
 
+def test_build_names_the_lines_of_an_all_malformed_file(tmp_path, capsys):
+    events_path = tmp_path / "events.jsonl"
+    events_path.write_text("{not json\n")
+
+    code = main(["build", str(events_path), "--out-dir", str(tmp_path / "nets")])
+
+    assert code == EXIT_FATAL
+    err = capsys.readouterr().err
+    assert f"warning: {events_path}:1: Expecting property name" in err
+    assert "error: no events in" in err
+
+
 def test_build_rejects_a_user_name_the_edge_list_cannot_carry(tmp_path, capsys):
     # the bad name sits in the second network written, so a check made only
     # while saving would already have written the first network's files
@@ -193,7 +205,10 @@ def test_build_skips_malformed_lines(tmp_path, capsys):
     code = main(["build", str(events_path), "--out-dir", str(out_dir)])
 
     assert code == EXIT_PARTIAL
-    assert "warning: skipped 2 malformed event lines" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "warning: skipped 2 malformed event lines" in err
+    assert f"warning: {events_path}:2: Expecting property name" in err
+    assert f"warning: {events_path}:3: unknown interaction type 'teleport'" in err
     entries = read_manifest(out_dir / "manifest.csv")
     assert len(entries) == 1
     assert entries[0].tweet_count == 2
@@ -278,7 +293,7 @@ def write_corpus(tmp_path, networks):
     entries = []
     for network in networks:
         nid = network.network_id
-        save_network(network, d / f"{nid}.edges", nodes_path=d / f"{nid}.nodes")
+        save_network(network, d / f"{nid}.edges")
         entries.append(
             ManifestEntry(
                 network_id=nid,
@@ -471,6 +486,41 @@ def test_classify_knn_distance_with_matrix(tmp_path):
     assert code == EXIT_OK
     # cc gaps separate the classes, so distance neighbours vote unanimously
     assert json.loads(out.read_text())["aggregate"]["auc"]["mean"] == 1.0
+
+
+def test_classify_distances_without_feature_ids_is_fatal(tmp_path, capsys):
+    ft = tmp_path / "features.csv"
+    write_labeled_table(ft, n_per_class=5)
+    dist = tmp_path / "dist.csv"
+    write_distance_matrix(["x", "y"], np.array([[0.0, 1.0], [1.0, 0.0]]), dist)
+
+    code = main(
+        ["classify", "--features", str(ft), "--distances", str(dist),
+         "--out", str(tmp_path / "r.json")]
+    )
+
+    assert code == EXIT_FATAL
+    assert "holds none of the 10 selected feature-table ids" in capsys.readouterr().err
+
+
+def test_classify_names_feature_ids_the_matrix_lacks(tmp_path, capsys):
+    ft = tmp_path / "features.csv"
+    rows = sorted(write_labeled_table(ft), key=lambda r: r[0])
+    kept = [r for r in rows if r[0] not in ("disinfo-003", "main-017")]
+    ids = [r[0] for r in kept]
+    cc = np.array([r[4].cc for r in kept])
+    dist = tmp_path / "dist.csv"
+    write_distance_matrix(ids, np.abs(cc[:, None] - cc[None, :]), dist)
+    kept_ft = tmp_path / "kept.csv"
+    write_feature_table(kept, kept_ft)
+    argv = ["classify", "--distances", str(dist), "--classifier", "knn-distance", "--k", "5"]
+
+    assert main(argv + ["--features", str(ft), "--out", str(tmp_path / "r.json")]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "distance matrix lacks 2 feature-table ids, left out: disinfo-003, main-017" in err
+    assert main(argv + ["--features", str(kept_ft), "--out", str(tmp_path / "k.json")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "r.json").read_bytes() == (tmp_path / "k.json").read_bytes()
 
 
 def test_classify_manifest_must_cover_feature_ids(tmp_path, capsys):

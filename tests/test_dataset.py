@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -251,6 +252,49 @@ def test_distance_matrix_duplicate_header_id_rejected(tmp_path):
         read_distance_matrix(path)
 
 
+# --- number cells ------------------------------------------------------------
+
+# each file's line 3 holds {cell} in a number column
+_NUMBER_CELL_FILES = {
+    "manifest": (
+        read_manifest,
+        "network_id,path,label,bias,tweet_count,n_nodes\n"
+        "a,a.edges,mainstream,none,60,3\n"
+        "b,b.edges,mainstream,none,{cell},3\n",
+    ),
+    "feature-table": (
+        read_feature_table,
+        "network_id,label,bias,n_nodes,scc,lscc,wcc,lwcc,dwcc,cc,kc\n"
+        "a,mainstream,none,3,1,1,1,3,1,0.5,1\n"
+        "b,mainstream,none,3,1,1,1,3,1,{cell},1\n",
+    ),
+    "distance-matrix": (read_distance_matrix, "network_id,a,b\na,0.0,1.0\nb,{cell},0.0\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "cell", ["1_0", " 1 ", "\u0661"], ids=["underscore", "whitespace", "arabic-indic-one"]
+)
+@pytest.mark.parametrize("kind", list(_NUMBER_CELL_FILES))
+def test_number_cells_python_alone_reads_are_rejected(tmp_path, kind, cell):
+    # int and float take each of these cells; no writer here produces them
+    read, text = _NUMBER_CELL_FILES[kind]
+    path = tmp_path / "t.csv"
+    path.write_text(text.format(cell=cell), encoding="utf-8")
+    with pytest.raises(FileFormatError, match=re.escape(f"t.csv:3: not a plain number: {cell!r}")):
+        read(path)
+
+
+def test_feature_table_short_row_reports_line(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text(
+        "network_id,label,bias,n_nodes,scc,lscc,wcc,lwcc,dwcc,cc,kc\n"
+        "a,mainstream,none,3,1,1\n"
+    )
+    with pytest.raises(FileFormatError, match="f.csv:2: row has too few cells"):
+        read_feature_table(path)
+
+
 @pytest.mark.parametrize("distance", ["dgcd13", "portrait"])
 def test_distance_matrix_of_one_and_two_signatures(distance):
     signature = network_correlations if distance == "dgcd13" else portrait
@@ -294,7 +338,7 @@ def write_corpus(tmp_path):
     }
     entries = []
     for name, (net, label, bias, tweets) in members.items():
-        save_network(net, tmp_path / f"{name}.edges", nodes_path=tmp_path / f"{name}.nodes")
+        save_network(net, tmp_path / f"{name}.edges")
         entries.append(
             ManifestEntry(name, f"{name}.edges", label, bias, tweets, n_nodes=net.n_nodes)
         )

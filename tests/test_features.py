@@ -23,6 +23,8 @@ from diffnet import (
     weakly_connected_components,
 )
 from diffnet.features import component_features, local_clustering
+from diffnet.graphlets import count_orbits
+from diffnet.portraits import portrait, shell_counts
 
 import util
 from util import graphs, make_network
@@ -101,17 +103,25 @@ def test_three_cycle_features():
     )
 
 
-def test_empty_graph_raises():
-    net = make_network(0, [])
-    for fn in (
-        extract_features,
+@pytest.mark.parametrize(
+    "fn",
+    [
         strongly_connected_component_sizes,
         weakly_connected_components,
         lwcc_diameter,
+        local_clustering,
+        core_numbers,
         main_kcore,
-    ):
-        with pytest.raises(EmptyGraphError):
-            fn(net)
+        count_orbits,
+        shell_counts,
+        portrait,
+        extract_features,
+    ],
+    ids=lambda fn: fn.__name__,
+)
+def test_empty_graph_raises(fn):
+    with pytest.raises(EmptyGraphError, match="network 'g' has no nodes"):
+        fn(make_network(0, []))
 
 
 # --- oracle equivalence -----------------------------------------------------
@@ -190,6 +200,18 @@ def test_directed_clustering_matches_matrix_oracle(g):
     n, arcs = g
     value = average_clustering(make_network(n, arcs), ClusteringVariant.DIRECTED)
     assert value == pytest.approx(util.oracle_directed_clustering(n, arcs), abs=1e-12)
+
+
+@given(graphs(min_nodes=3, max_nodes=8), st.sampled_from(ClusteringVariant))
+def test_local_clustering_matches_oracles_per_node(g, variant):
+    n, arcs = g
+    # nodes 0, 1, 2 close a triangle whose pair 0-1 is reciprocated
+    arcs = sorted({*arcs, (0, 1), (1, 0), (1, 2), (2, 0)})
+    oracle = {
+        ClusteringVariant.UNDIRECTED: util.oracle_local_clustering,
+        ClusteringVariant.DIRECTED: util.oracle_directed_local_clustering,
+    }[variant]
+    assert np.array_equal(local_clustering(make_network(n, arcs), variant), oracle(n, arcs))
 
 
 def _chorded_star(leaves: int, spokes: str):
@@ -301,5 +323,5 @@ def test_features_survive_serialization(g, tmp_path_factory):
     n, arcs = g
     net = make_network(n, arcs)
     tmp = tmp_path_factory.mktemp("roundtrip")
-    save_network(net, tmp / "g.edges", nodes_path=tmp / "g.nodes")
+    save_network(net, tmp / "g.edges")
     assert extract_features(load_network(tmp / "g.edges")) == extract_features(net)

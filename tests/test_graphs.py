@@ -305,9 +305,10 @@ def test_read_events_reports_line_numbers(tmp_path):
             "{broken",
         ],
     )
-    with pytest.raises(FileFormatError) as err:
-        read_events(path)
-    assert err.value.line_no == 2
+    events, skipped = read_events(path)
+    assert [e.tweet_id for e in events] == ["t0"]
+    assert [line_no for line_no, _ in skipped] == [2]
+    assert "Expecting property name" in skipped[0][1]
 
 
 def test_read_events_skip_malformed_counts(tmp_path):
@@ -322,9 +323,9 @@ def test_read_events_skip_malformed_counts(tmp_path):
              "url": URL, "timestamp": 1},
         ],
     )
-    events, skipped = read_events(path, skip_malformed=True)
+    events, skipped = read_events(path)
     assert len(events) == 2
-    assert skipped == 1
+    assert skipped == [(2, "Expecting value: line 1 column 1 (char 0)")]
 
 
 def test_group_events_by_url():
@@ -349,7 +350,7 @@ def test_edge_list_roundtrip_preserves_isolates(tmp_path):
     ]
     net = build_network(events, URL, network_id="rt")
     edges_path = tmp_path / "rt.edges"
-    save_network(net, edges_path, nodes_path=tmp_path / "rt.nodes")
+    save_network(net, edges_path)
     loaded = load_network(edges_path)
     assert loaded.nodes == net.nodes  # C restored from the node manifest
     assert loaded.edges == net.edges
@@ -372,14 +373,14 @@ def test_save_rejects_names_the_edge_list_cannot_carry(tmp_path, bad, edges):
     net = DiffusionNetwork(network_id="bad", nodes={bad, "b"}, edges=edges)
     edges_path = tmp_path / "bad.edges"
     with pytest.raises(FileFormatError, match="cannot write node " + re.escape(repr(bad))):
-        save_network(net, edges_path, nodes_path=tmp_path / "bad.nodes")
+        save_network(net, edges_path)
     assert not edges_path.exists()
     assert not (tmp_path / "bad.nodes").exists()
 
 
 def test_save_keeps_inner_spaces_and_hashes(tmp_path):
     net = DiffusionNetwork(network_id="ok", nodes={"a b", "c#d", "e"}, edges={("a b", "c#d")})
-    save_network(net, tmp_path / "ok.edges", nodes_path=tmp_path / "ok.nodes")
+    save_network(net, tmp_path / "ok.edges")
     loaded = load_network(tmp_path / "ok.edges")
     assert loaded.nodes == net.nodes
     assert loaded.edges == net.edges
@@ -422,44 +423,6 @@ def test_load_rejects_malformed_line(tmp_path):
     path.write_text("u1\n")
     with pytest.raises(FileFormatError):
         load_network(path)
-
-
-def test_load_events_format_requires_single_url(tmp_path):
-    path = tmp_path / "e.jsonl"
-    _write_jsonl(
-        path,
-        [
-            {"tweet_id": "t0", "user": "A", "target_user": None, "interaction": "original",
-             "url": "u1", "timestamp": 0},
-            {"tweet_id": "t1", "user": "B", "target_user": "A", "interaction": "retweet",
-             "url": "u2", "timestamp": 1},
-        ],
-    )
-    with pytest.raises(FileFormatError, match="distinct URLs"):
-        load_network(path, fmt="events")
-
-
-def test_load_events_format_builds_network(tmp_path):
-    path = tmp_path / "e.jsonl"
-    _write_jsonl(
-        path,
-        [
-            {"tweet_id": "t0", "user": "A", "target_user": None, "interaction": "original",
-             "url": URL, "timestamp": 0},
-            {"tweet_id": "t1", "user": "B", "target_user": "A", "interaction": "retweet",
-             "url": URL, "timestamp": 1},
-        ],
-    )
-    net = load_network(path, fmt="events")
-    assert net.edges == frozenset({("A", "B")})
-    assert net.tweet_count == 2
-
-
-def test_unknown_format_rejected(tmp_path):
-    path = tmp_path / "g.edges"
-    path.write_text("u1\tu2\n")
-    with pytest.raises(ValueError, match="unknown network format"):
-        load_network(path, fmt="adjacency")
 
 
 def test_relabeled_preserves_structure():

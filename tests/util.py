@@ -185,9 +185,8 @@ def oracle_dwcc_values(n: int, arcs) -> set[int]:
 # --- clustering oracles (triple enumeration) --------------------------------
 
 
-def oracle_avg_clustering(n: int, arcs) -> float:
-    # per-node values by exhaustive pair enumeration; the final average uses
-    # np.mean so float summation order matches the implementation under test
+def oracle_local_clustering(n: int, arcs) -> np.ndarray:
+    """Per-node undirected clustering by exhaustive pair enumeration."""
     a = adjacency(n, arcs)
     und = a | a.T
     per_node = np.zeros(n)
@@ -197,22 +196,32 @@ def oracle_avg_clustering(n: int, arcs) -> float:
             continue
         closed = sum(1 for x, y in combinations(nbrs, 2) if und[x, y])
         per_node[u] = closed / (len(nbrs) * (len(nbrs) - 1) / 2)
-    return float(np.mean(per_node))
+    return per_node
 
 
-def oracle_directed_clustering(n: int, arcs) -> float:
-    """Directed clustering via the symmetrized-adjacency cube."""
+def oracle_avg_clustering(n: int, arcs) -> float:
+    # np.mean, so float summation order matches the implementation under test
+    return float(np.mean(oracle_local_clustering(n, arcs)))
+
+
+def oracle_directed_local_clustering(n: int, arcs) -> np.ndarray:
+    """Per-node directed clustering via the symmetrized-adjacency cube."""
     a = adjacency(n, arcs).astype(np.float64)
     s = a + a.T
     cube = s @ s @ s
     d_tot = (a.sum(axis=0) + a.sum(axis=1)).astype(int)
     d_bi = (a.astype(bool) & a.T.astype(bool)).sum(axis=1).astype(int)
-    total = 0.0
+    per_node = np.zeros(n)
     for u in range(n):
         denom = d_tot[u] * (d_tot[u] - 1) - 2 * d_bi[u]
         if denom > 0:
-            total += cube[u, u] / (2 * denom)
-    return total / n
+            per_node[u] = cube[u, u] / (2 * denom)
+    return per_node
+
+
+def oracle_directed_clustering(n: int, arcs) -> float:
+    """Directed clustering averaged over the nodes."""
+    return float(oracle_directed_local_clustering(n, arcs).mean())
 
 
 # --- core number oracle (one-node-at-a-time peeling) ------------------------
