@@ -21,6 +21,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +60,8 @@ EXIT_PARTIAL = 2
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed and validated command-line options."""
+    """Parsed and validated command-line options; its defaults are the
+    command line's, written nowhere else."""
 
     subcommand: str
     bucket: SizeBucket = SizeBucket.D_ALL
@@ -403,9 +405,15 @@ def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
 # --- argument parsing -------------------------------------------------------
 
 
+def _enum_option(enum: type[Enum]) -> dict:
+    """Parse an option straight to a member of ``enum``, listing its values."""
+    metavar = "{" + ",".join(e.value for e in enum) + "}"
+    return {"type": enum, "choices": list(enum), "metavar": metavar}
+
+
 _SHARED_OPTIONS = {
-    "--seed": {"type": int, "default": 0},
-    "--bucket": {"choices": [b.value for b in SizeBucket], "default": SizeBucket.D_ALL.value},
+    "--seed": {"type": int},
+    "--bucket": _enum_option(SizeBucket),
     "--min-tweets": {"type": int},
 }
 
@@ -417,43 +425,48 @@ def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Options that ``RunConfig`` holds have no default here: an option not
+    given is left out of the parsed arguments and takes its ``RunConfig``
+    default. The others name their default."""
     parser = argparse.ArgumentParser(
         prog="diffnet",
         description="Reconstruct, measure, compare and classify news diffusion networks.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(
+        dest="subcommand",
+        required=True,
+        parser_class=partial(argparse.ArgumentParser, argument_default=argparse.SUPPRESS),
+    )
 
     p = sub.add_parser("build", help="build networks from an interaction event file")
     p.add_argument("events_file")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--direction", choices=[d.value for d in EdgeDirection], default="flow")
+    p.add_argument("--direction", **_enum_option(EdgeDirection))
     _add_shared(p, "--min-tweets")
 
     p = sub.add_parser("features", help="compute the seven-feature table for a manifest")
     p.add_argument("manifest")
     p.add_argument("--out", required=True)
-    p.add_argument(
-        "--clustering", choices=[c.value for c in ClusteringVariant], default="undirected"
-    )
+    p.add_argument("--clustering", **_enum_option(ClusteringVariant))
 
     p = sub.add_parser("distances", help="compute a pairwise distance matrix")
     p.add_argument("manifest")
     p.add_argument("--out", required=True)
-    p.add_argument("--which", choices=["dgcd13", "portrait"], default="dgcd13")
+    p.add_argument("--which", dest="distance", choices=["dgcd13", "portrait"])
     p.add_argument("--include-large", action="store_true")
     p.add_argument("--portrait-undirected", action="store_true")
 
     p = sub.add_parser("classify", help="cross-validated classification from a feature table")
     p.add_argument("--features", required=True)
-    p.add_argument("--distances")
-    p.add_argument("--manifest")
+    p.add_argument("--distances", default=None)
+    p.add_argument("--manifest", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--roc-out")
-    p.add_argument("--classifier", choices=["lr", "knn", "knn-distance"], default="lr")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--test-fraction", type=float, default=0.1)
-    p.add_argument("--bias", action="append", choices=[b.value for b in Bias])
+    p.add_argument("--roc-out", default=None)
+    p.add_argument("--classifier", choices=["lr", "knn", "knn-distance"])
+    p.add_argument("--k", type=int)
+    p.add_argument("--folds", type=int)
+    p.add_argument("--test-fraction", type=float)
+    p.add_argument("--bias", action="append", choices=[b.value for b in Bias], default=None)
     p.add_argument("--exclude-source", action="append", default=[])
     _add_shared(p, "--seed", "--bucket", "--min-tweets")
 
@@ -465,9 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="per-feature class comparison (KS tests, box-plot data)")
     p.add_argument("--features", required=True)
-    p.add_argument("--manifest")
+    p.add_argument("--manifest", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--bias", action="append", choices=[b.value for b in Bias])
+    p.add_argument("--bias", action="append", choices=[b.value for b in Bias], default=None)
     p.add_argument("--exclude-source", action="append", default=[])
     _add_shared(p, "--bucket", "--min-tweets")
 
@@ -475,26 +488,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    min_tweets = getattr(args, "min_tweets", None)
     # classify and report read tweet counts from an optional --manifest;
     # build has no such option, it counts the tweets of its own events
-    if min_tweets is not None and getattr(args, "manifest", "") is None:
+    if hasattr(args, "min_tweets") and getattr(args, "manifest", "") is None:
         raise ValueError("--min-tweets needs --manifest, which holds the tweet counts")
-    return RunConfig(
-        subcommand=args.subcommand,
-        bucket=SizeBucket(getattr(args, "bucket", "all")),
-        distance=getattr(args, "which", "dgcd13"),
-        classifier=getattr(args, "classifier", "lr"),
-        k=getattr(args, "k", 10),
-        folds=getattr(args, "folds", 10),
-        test_fraction=getattr(args, "test_fraction", 0.1),
-        seed=getattr(args, "seed", 0),
-        min_tweets=50 if min_tweets is None else min_tweets,
-        direction=EdgeDirection(getattr(args, "direction", "flow")),
-        clustering=ClusteringVariant(getattr(args, "clustering", "undirected")),
-        portrait_undirected=getattr(args, "portrait_undirected", False),
-        include_large=getattr(args, "include_large", False),
-    )
+    given = vars(args)
+    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
 
 
 _COMMANDS = {

@@ -14,7 +14,7 @@ import io
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -89,18 +89,25 @@ def write_manifest(entries: Sequence[ManifestEntry], path: str | Path) -> None:
             )
 
 
-def read_manifest(path: str | Path) -> list[ManifestEntry]:
-    path = Path(path)
-    entries = []
+def _table_rows(path: Path, columns: Sequence[str], kind: str) -> Iterator[tuple[int, dict]]:
+    """``(line number, row)`` for each data row of the csv file at ``path``,
+    lines counted from 2. Raises :class:`FileFormatError` when the header
+    lacks one of ``columns``, at a row with more cells than the header,
+    and at a ``network_id`` seen before, naming the line it was first on."""
     first_line: dict[str, int] = {}
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = set(MANIFEST_COLUMNS) - set(reader.fieldnames or ())
+        missing = set(columns) - set(reader.fieldnames or ())
         if missing:
-            raise FileFormatError(
-                f"manifest missing columns: {', '.join(sorted(missing))}", path=path
-            )
+            raise FileFormatError(f"{kind} missing columns: {', '.join(sorted(missing))}", path=path)
         for line_no, row in enumerate(reader, start=2):
+            if None in row:  # csv.DictReader keeps the cells past the header under None
+                width = len(reader.fieldnames)
+                raise FileFormatError(
+                    f"row has {width + len(row[None])} cells, the header {width}",
+                    path=path,
+                    line_no=line_no,
+                )
             network_id = row["network_id"]
             if network_id in first_line:
                 raise FileFormatError(
@@ -109,21 +116,28 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
                     line_no=line_no,
                 )
             first_line[network_id] = line_no
-            n_nodes_raw = row.get("n_nodes") or ""
-            _check_number_cells((row["tweet_count"], n_nodes_raw), path, line_no)
-            try:
-                entries.append(
-                    ManifestEntry(
-                        network_id=network_id,
-                        path=row["path"],
-                        label=Label(row["label"]),
-                        bias=Bias(row["bias"]),
-                        tweet_count=int(row["tweet_count"]),
-                        n_nodes=int(n_nodes_raw) if n_nodes_raw else None,
-                    )
+            yield line_no, row
+
+
+def read_manifest(path: str | Path) -> list[ManifestEntry]:
+    path = Path(path)
+    entries = []
+    for line_no, row in _table_rows(path, MANIFEST_COLUMNS, "manifest"):
+        n_nodes_raw = row.get("n_nodes") or ""
+        _check_number_cells((row["tweet_count"], n_nodes_raw), path, line_no)
+        try:
+            entries.append(
+                ManifestEntry(
+                    network_id=row["network_id"],
+                    path=row["path"],
+                    label=Label(row["label"]),
+                    bias=Bias(row["bias"]),
+                    tweet_count=int(row["tweet_count"]),
+                    n_nodes=int(n_nodes_raw) if n_nodes_raw else None,
                 )
-            except (KeyError, ValueError) as exc:
-                raise FileFormatError(f"bad manifest row: {exc}", path=path, line_no=line_no)
+            )
+        except (KeyError, ValueError) as exc:
+            raise FileFormatError(f"bad manifest row: {exc}", path=path, line_no=line_no)
     return entries
 
 
@@ -147,30 +161,23 @@ def write_feature_table(
 def read_feature_table(path: str | Path) -> list[Sample]:
     path = Path(path)
     samples = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(FEATURE_TABLE_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise FileFormatError(
-                f"feature table missing columns: {', '.join(sorted(missing))}", path=path
-            )
-        for line_no, row in enumerate(reader, start=2):
-            cells = [row[name] for name in _FEATURE_NUMBER_COLUMNS]
-            _check_number_cells(cells, path, line_no)
-            try:
-                n_nodes = int(cells[0])
-                fv = FeatureVector(*map(float, cells[1:]))
-                samples.append(
-                    Sample(
-                        network_id=row["network_id"],
-                        features=fv,
-                        label=Label(row["label"]),
-                        bias=Bias(row["bias"]),
-                        n_nodes=n_nodes,
-                    )
+    for line_no, row in _table_rows(path, FEATURE_TABLE_COLUMNS, "feature table"):
+        cells = [row[name] for name in _FEATURE_NUMBER_COLUMNS]
+        _check_number_cells(cells, path, line_no)
+        try:
+            n_nodes = int(cells[0])
+            fv = FeatureVector(*map(float, cells[1:]))
+            samples.append(
+                Sample(
+                    network_id=row["network_id"],
+                    features=fv,
+                    label=Label(row["label"]),
+                    bias=Bias(row["bias"]),
+                    n_nodes=n_nodes,
                 )
-            except (KeyError, ValueError) as exc:
-                raise FileFormatError(f"bad feature row: {exc}", path=path, line_no=line_no)
+            )
+        except (KeyError, ValueError) as exc:
+            raise FileFormatError(f"bad feature row: {exc}", path=path, line_no=line_no)
     return samples
 
 

@@ -10,8 +10,10 @@ else works on the undirected simple projection.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 
 import numpy as np
 
@@ -44,7 +46,9 @@ class FeatureVector:
 
 
 def strongly_connected_component_sizes(network: DiffusionNetwork) -> list[int]:
-    """Sizes of all SCCs, via an iterative Tarjan traversal."""
+    """Sizes of all SCCs, in the order Tarjan's algorithm (SIAM J. Comput.
+    1972) completes them; iterative, each frame a node and the iterator
+    over its successors, so deep graphs need no recursion."""
     require_nodes(network)
     n = network.n_nodes
     out = network.out_lists
@@ -53,45 +57,38 @@ def strongly_connected_component_sizes(network: DiffusionNetwork) -> list[int]:
     on_stack = [False] * n
     stack: list[int] = []
     sizes: list[int] = []
-    counter = 0
+    counter = count()
+
+    def enter(v: int) -> tuple[int, Iterator[int]]:
+        index[v] = lowlink[v] = next(counter)
+        stack.append(v)
+        on_stack[v] = True
+        return v, iter(out[v])
 
     for root in range(n):
         if index[root] != -1:
             continue
-        # frame: (node, iterator position over successors)
-        work = [(root, 0)]
+        work = [enter(root)]
         while work:
-            v, pos = work.pop()
-            if pos == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            succ = out[v]
-            for i in range(pos, len(succ)):
-                w = succ[i]
+            v, successors = work[-1]
+            for w in successors:
                 if index[w] == -1:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    advanced = True
+                    work.append(enter(w))
                     break
                 if on_stack[w]:
                     lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            if lowlink[v] == index[v]:
-                size = 0
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    size += 1
-                    if w == v:
-                        break
-                sizes.append(size)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == index[v]:
+                    w, size = -1, 0
+                    while w != v:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        size += 1
+                    sizes.append(size)
     return sizes
 
 
@@ -208,49 +205,27 @@ def average_clustering(network: DiffusionNetwork, variant: ClusteringVariant = C
 def core_numbers(network: DiffusionNetwork) -> list[int]:
     """Core number of every node in the undirected simple projection.
 
-    Batagelj-Zaversnik peeling: repeatedly remove a minimum-degree node;
-    its degree at removal (capped from below by previously removed cores)
-    is its core number.
+    Peeling in the order of Batagelj & Zaversnik (arXiv cs/0310049) from
+    one bucket per degree: level ``d`` removes nodes of degree ``d`` until
+    none is left, and each neighbour of degree above ``d`` drops by one
+    and is queued again at its new degree. A removed node's degree stays
+    ``d``, its core number. Degrees only fall, so a bucket holds a node at
+    most once, and an entry whose node has dropped since is stale.
     """
     require_nodes(network)
-    n = network.n_nodes
     und = network.und_lists
-    degree = [len(und[u]) for u in range(n)]
-    max_deg = max(degree)
-    # bucket sort nodes by current degree
-    bins = [0] * (max_deg + 1)
-    for d in degree:
-        bins[d] += 1
-    start = 0
-    for d in range(max_deg + 1):
-        bins[d], start = start, start + bins[d]
-    pos = [0] * n
-    order = [0] * n
-    for u in range(n):
-        pos[u] = bins[degree[u]]
-        order[pos[u]] = u
-        bins[degree[u]] += 1
-    for d in range(max_deg, 0, -1):
-        bins[d] = bins[d - 1]
-    bins[0] = 0
-
-    core = degree[:]
-    removed = [False] * n
-    for i in range(n):
-        u = order[i]
-        removed[u] = True
-        for v in und[u]:
-            if removed[v] or core[v] <= core[u]:
+    core = [len(neighbours) for neighbours in und]  # the degree until removal
+    buckets: list[list[int]] = [[] for _ in range(max(core) + 1)]
+    for u, d in enumerate(core):
+        buckets[d].append(u)
+    for d, bucket in enumerate(buckets):
+        for u in bucket:  # also reaches the nodes queued here while it runs
+            if core[u] != d:
                 continue
-            # swap v to the front of its degree bucket, then decrement
-            dv = core[v]
-            first = bins[dv]
-            w_node = order[first]
-            if w_node != v:
-                order[first], order[pos[v]] = v, w_node
-                pos[w_node], pos[v] = pos[v], first
-            bins[dv] += 1
-            core[v] -= 1
+            for v in und[u]:
+                if core[v] > d:
+                    core[v] -= 1
+                    buckets[core[v]].append(v)
     return core
 
 

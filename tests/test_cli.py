@@ -31,6 +31,7 @@ from diffnet.cli import (
     EXIT_FATAL,
     EXIT_OK,
     EXIT_PARTIAL,
+    RunConfig,
     main,
     network_id_for_url,
     worker_count,
@@ -641,6 +642,18 @@ def test_report_single_class_is_fatal(tmp_path, capsys):
 
     assert code == EXIT_FATAL
     assert "both classes required for a report" in capsys.readouterr().err
+
+
+def test_classify_and_report_without_options_record_run_config_defaults(tmp_path):
+    # an option not given takes the RunConfig default, and the report says so
+    ft = tmp_path / "features.csv"
+    write_labeled_table(ft)
+    for subcommand in ("classify", "report"):
+        out = tmp_path / f"{subcommand}.json"
+        assert main([subcommand, "--features", str(ft), "--out", str(out)]) == EXIT_OK
+        config = json.loads(out.read_text())["config"]
+        defaults = RunConfig(subcommand=subcommand).provenance()
+        assert {name: config[name] for name in defaults} == defaults
 
 
 # --- option validation ------------------------------------------------------

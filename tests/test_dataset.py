@@ -105,6 +105,17 @@ def test_manifest_duplicate_id_reports_line(tmp_path):
         read_manifest(path)
 
 
+def test_manifest_surplus_cell_reports_line(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(
+        "network_id,path,label,bias,tweet_count\n"
+        "a,a.edges,mainstream,none,60\n"
+        "b,b.edges,mainstream,none,60,7\n"
+    )
+    with pytest.raises(FileFormatError, match=r"m\.csv:3: row has 6 cells, the header 5"):
+        read_manifest(path)
+
+
 # --- feature tables ----------------------------------------------------------
 
 
@@ -145,6 +156,28 @@ def test_feature_table_missing_column_rejected(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("network_id,label,bias\n")
     with pytest.raises(FileFormatError, match="missing columns"):
+        read_feature_table(path)
+
+
+def test_feature_table_surplus_cell_reports_line(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text(
+        "network_id,label,bias,n_nodes,scc,lscc,wcc,lwcc,dwcc,cc,kc\n"
+        "a,mainstream,none,3,1,1,1,3,1,0.0,1,2.5,9\n"
+    )
+    with pytest.raises(FileFormatError, match=r"f\.csv:2: row has 13 cells, the header 11"):
+        read_feature_table(path)
+
+
+def test_feature_table_duplicate_id_reports_line(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text(
+        "network_id,label,bias,n_nodes,scc,lscc,wcc,lwcc,dwcc,cc,kc\n"
+        "a,mainstream,none,3,1,1,1,3,1,0.0,1\n"
+        "b,mainstream,none,3,1,1,1,3,1,0.0,1\n"
+        "a,disinformation,none,4,1,1,1,4,1,0.0,1\n"
+    )
+    with pytest.raises(FileFormatError, match=r"f\.csv:4: duplicate network_id 'a', first on line 2"):
         read_feature_table(path)
 
 

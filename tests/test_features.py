@@ -6,10 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from diffnet import (
     ClusteringVariant,
+    DiffusionNetwork,
     EmptyGraphError,
     FeatureVector,
     average_clustering,
@@ -192,7 +193,7 @@ DIAMETER_SHAPES = (
 @pytest.mark.parametrize("shape", DIAMETER_SHAPES)
 def test_diameter_matches_oracle_on_larger_graphs(shape, seed):
     n, arcs = _diameter_graph(shape, np.random.default_rng([seed, DIAMETER_SHAPES.index(shape)]))
-    assert lwcc_diameter(make_network(n, arcs)) in util.oracle_dwcc_values(n, arcs)
+    assert lwcc_diameter(make_network(n, arcs)) == util.oracle_dwcc(n, arcs)
 
 
 @given(graphs(max_nodes=7))
@@ -266,6 +267,45 @@ def test_core_numbers_bound_degrees(g):
     for u in range(n):
         assert 0 <= cores[u] <= len(und[u])
     assert max(cores) == util.oracle_main_kcore(n, arcs)
+    assert cores == util.oracle_core_numbers(n, arcs)
+
+
+def _star_of_stars(stars: int, leaves: int):
+    """Undirected edges of a centre 0 joined to ``stars`` hubs, each with
+    ``leaves`` leaves of its own."""
+    edges = [(0, hub) for hub in range(1, stars + 1)]
+    for hub in range(1, stars + 1):
+        first = stars + 1 + (hub - 1) * leaves
+        edges += [(hub, leaf) for leaf in range(first, first + leaves)]
+    return 1 + stars * (1 + leaves), edges
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shape", ["hubs-sharing-leaves", "star-of-stars"])
+def test_core_numbers_match_oracle_per_node_on_hub_shapes(shape, seed):
+    rng = np.random.default_rng([seed, 13])
+    if shape == "hubs-sharing-leaves":
+        n, edges = util.hubs_sharing_leaves(rng, int(rng.integers(2, 6)), 120)
+    else:
+        n, edges = _star_of_stars(int(rng.integers(2, 8)), int(rng.integers(1, 20)))
+    n, arcs = util.orient(rng, n, edges, reciprocal_p=0.2)
+    assert core_numbers(make_network(n, arcs)) == util.oracle_core_numbers(n, arcs)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+def test_components_and_cores_of_a_hundred_thousand_node_chain(closed):
+    # names sort along the chain, so both traversals start at its head and
+    # go 100,000 nodes deep: a recursive or quadratic one would not finish
+    n = 100_000
+    names = [f"v{i:06d}" for i in range(n)]
+    heads = names if closed else names[:-1]
+    net = DiffusionNetwork(
+        network_id="chain",
+        nodes=frozenset(names),
+        edges=frozenset(zip(heads, names[1:] + names[:1])),
+    )
+    assert strongly_connected_component_sizes(net) == ([n] if closed else [1] * n)
+    assert core_numbers(net) == [2 if closed else 1] * n
 
 
 # --- invariants -------------------------------------------------------------
@@ -295,6 +335,7 @@ def test_dag_has_singleton_sccs(g):
 
 
 @given(graphs(min_nodes=1, max_nodes=7), st.integers(0, 1_000_000))
+@example(g=(6, [(5, 2), (3, 0), (1, 5), (4, 3), (2, 1)]), seed=1)  # two largest WCCs
 def test_features_invariant_under_relabeling(g, seed):
     n, arcs = g
     net = make_network(n, arcs)
@@ -302,9 +343,14 @@ def test_features_invariant_under_relabeling(g, seed):
     mapping = {f"n{i:03d}": f"m{perm[i]:03d}" for i in range(n)}
     fv, fv_re = extract_features(net), extract_features(util.relabeled(net, mapping))
     # relabeling permutes the per-node array behind cc, so the float mean may
-    # move by an ulp; every integer feature must be identical
+    # move by an ulp; every other feature but dwcc must be identical
     assert fv_re.cc == pytest.approx(fv.cc, abs=1e-12)
-    assert replace(fv_re, cc=0.0) == replace(fv, cc=0.0)
+    assert replace(fv_re, cc=0.0, dwcc=0) == replace(fv, cc=0.0, dwcc=0)
+    # dwcc too, unless the largest WCC is tied: then it is the diameter of the
+    # tied component holding the first node in name order, which the new
+    # names (ranked by perm) may move to another component
+    assert fv.dwcc == util.oracle_dwcc(n, arcs)
+    assert fv_re.dwcc == util.oracle_dwcc(n, arcs, rank=perm)
 
 
 @given(graphs(max_nodes=7))

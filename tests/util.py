@@ -168,18 +168,16 @@ def oracle_undirected_distances(n: int, arcs) -> np.ndarray:
     return d
 
 
-def oracle_dwcc_values(n: int, arcs) -> set[int]:
-    """Diameters of every maximum-size WCC (ties allow any of these)."""
+def oracle_dwcc(n: int, arcs, rank=None) -> int:
+    """Diameter of the largest WCC; among equal sizes, the one holding the
+    first node in name order. ``rank[i]`` is node i's place in that order
+    (default: i), so a relabeling can pass the order of its new names."""
+    rank = range(n) if rank is None else rank
     comps = oracle_wcc_members(n, arcs)
     top = max(len(c) for c in comps)
+    members = sorted(min((c for c in comps if len(c) == top), key=lambda c: min(rank[u] for u in c)))
     d = oracle_undirected_distances(n, arcs)
-    values = set()
-    for comp in comps:
-        if len(comp) != top:
-            continue
-        members = sorted(comp)
-        values.add(int(max(d[u][v] for u in members for v in members)) if len(members) > 1 else 0)
-    return values
+    return int(max(d[u][v] for u in members for v in members))
 
 
 # --- clustering oracles (triple enumeration) --------------------------------
@@ -227,32 +225,38 @@ def oracle_directed_clustering(n: int, arcs) -> float:
 # --- core number oracle (one-node-at-a-time peeling) ------------------------
 
 
-def oracle_main_kcore(n: int, arcs) -> int:
+def oracle_core_numbers(n: int, arcs) -> list[int]:
+    """Per-node core numbers: remove a node of least remaining degree, one at
+    a time; its core is its degree at removal, capped below by the largest
+    such degree before it."""
     und = {u: set() for u in range(n)}
     for u, v in arcs:
         und[u].add(v)
         und[v].add(u)
-    remaining = set(range(n))
+    cores = [0] * n
     k = 0
-    while remaining:
-        u = min(remaining, key=lambda x: (len(und[x]), x))
+    while und:
+        u = min(und, key=lambda x: (len(und[x]), x))
         k = max(k, len(und[u]))
-        for v in und[u]:
+        cores[u] = k
+        for v in und.pop(u):
             und[v].discard(u)
-        und.pop(u)
-        remaining.remove(u)
-    return k
+    return cores
+
+
+def oracle_main_kcore(n: int, arcs) -> int:
+    return max(oracle_core_numbers(n, arcs))
 
 
 def oracle_feature_check(n: int, arcs, fv) -> None:
-    """Assert a FeatureVector against all naive oracles (tie-aware dwcc)."""
+    """Assert a FeatureVector against all naive oracles."""
     scc_sizes = oracle_scc_sizes(n, arcs)
     wccs = oracle_wcc_members(n, arcs)
     assert fv.scc == len(scc_sizes)
     assert fv.lscc == max(scc_sizes)
     assert fv.wcc == len(wccs)
     assert fv.lwcc == max(len(c) for c in wccs)
-    assert fv.dwcc in oracle_dwcc_values(n, arcs)
+    assert fv.dwcc == oracle_dwcc(n, arcs)
     assert fv.cc == oracle_avg_clustering(n, arcs)
     assert fv.kc == oracle_main_kcore(n, arcs)
 
