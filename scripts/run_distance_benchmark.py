@@ -53,6 +53,8 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--out", type=Path, default=None,
                         help="write the classification report as JSON")
     args = parser.parse_args(argv)
+    if args.portrait_undirected and args.metric != "portrait":
+        parser.error("--portrait-undirected has no effect with --metric dgcd13")
 
     bucket = SizeBucket(args.bucket)
     t0 = time.perf_counter()

@@ -493,7 +493,16 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if hasattr(args, "min_tweets") and getattr(args, "manifest", "") is None:
         raise ValueError("--min-tweets needs --manifest, which holds the tweet counts")
     given = vars(args)
-    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
+    config = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
+    # an option the chosen mode never reads is refused, not ignored
+    for name, applies, mode in (
+        ("include_large", config.distance == "dgcd13", f"--which {config.distance}"),
+        ("portrait_undirected", config.distance == "portrait", f"--which {config.distance}"),
+        ("k", config.classifier != "lr", f"--classifier {config.classifier}"),
+    ):
+        if name in given and not applies:
+            raise ValueError(f"--{name.replace('_', '-')} has no effect with {mode}")
+    return config
 
 
 _COMMANDS = {

@@ -91,16 +91,18 @@ def write_manifest(entries: Sequence[ManifestEntry], path: str | Path) -> None:
 
 def _table_rows(path: Path, columns: Sequence[str], kind: str) -> Iterator[tuple[int, dict]]:
     """``(line number, row)`` for each data row of the csv file at ``path``,
-    lines counted from 2. Raises :class:`FileFormatError` when the header
-    lacks one of ``columns``, at a row with more cells than the header,
-    and at a ``network_id`` seen before, naming the line it was first on."""
+    numbered by the physical line the row ends on. Raises
+    :class:`FileFormatError` when the header lacks one of ``columns``, at a
+    row with more cells than the header, and at a ``network_id`` seen
+    before, naming the line it was first on."""
     first_line: dict[str, int] = {}
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(columns) - set(reader.fieldnames or ())
         if missing:
             raise FileFormatError(f"{kind} missing columns: {', '.join(sorted(missing))}", path=path)
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num
             if None in row:  # csv.DictReader keeps the cells past the header under None
                 width = len(reader.fieldnames)
                 raise FileFormatError(
@@ -234,7 +236,8 @@ def read_distance_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:
             )
         matrix = np.zeros((len(ids), len(ids)))
         row_ids = []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num
             if len(row) != len(ids) + 1:
                 raise FileFormatError(
                     f"expected {len(ids) + 1} cells, found {len(row)}", path=path, line_no=line_no

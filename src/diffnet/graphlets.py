@@ -188,19 +188,14 @@ def network_correlations(network: DiffusionNetwork) -> np.ndarray:
 _UPPER = np.triu_indices(N_ORBITS, k=1)
 
 
-def dgcd_from_correlations(corr_a: np.ndarray, corr_b: np.ndarray) -> float | np.ndarray:
-    """Euclidean distance between strictly-upper-triangular correlations.
-
-    ``corr_b`` may also be a stack of shape (k, 13, 13): then ``corr_a`` is
-    compared with each matrix of the stack and the k distances are returned.
-    """
-    corr_b = np.asarray(corr_b)
-    if corr_b.ndim == 2:
-        return float(np.linalg.norm(corr_a[_UPPER] - corr_b[_UPPER]))
+def dgcd_from_correlations(corr_a: np.ndarray, corr_b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the strictly-upper-triangular
+    correlations of ``corr_a`` and those of each matrix of the (k, 13, 13)
+    stack ``corr_b``."""
     return np.linalg.norm(corr_a[_UPPER] - corr_b[:, _UPPER[0], _UPPER[1]], axis=1)
 
 
 def dgcd13(a: DiffusionNetwork, b: DiffusionNetwork) -> float:
     """Directed graphlet correlation distance between two networks."""
-    return dgcd_from_correlations(network_correlations(a), network_correlations(b))
-
+    corr_a, corr_b = network_correlations(a), network_correlations(b)
+    return float(dgcd_from_correlations(corr_a, corr_b[None])[0])

@@ -330,6 +330,16 @@ def build_network(
 _REQUIRED_KEYS = ("tweet_id", "user", "interaction", "url", "timestamp")  # target_user may be absent
 _required_fields = itemgetter(*_REQUIRED_KEYS)
 _INTERACTIONS = {kind.value: kind for kind in Interaction}
+# the JSON types each key takes, matched by exact type, so a boolean is
+# neither an integer nor a number
+_NAME = ({str, int}, "a string or an integer")
+_KEY_TYPES = {
+    "tweet_id": _NAME,
+    "user": _NAME,
+    "target_user": ({str, int, type(None)}, "a string, an integer or null"),
+    "url": ({str}, "a string"),
+    "timestamp": ({int, float}, "a number"),
+}
 
 
 def parse_event(obj: Mapping) -> InteractionEvent:
@@ -346,14 +356,22 @@ def parse_event(obj: Mapping) -> InteractionEvent:
     except (KeyError, TypeError):  # TypeError: an unhashable value such as a list
         raise MalformedEventError(f"unknown interaction type {kind!r}") from None
     target = obj.get("target_user")
+    for key, value in zip(_KEY_TYPES, (tweet_id, user, target, url, timestamp)):
+        types, expected = _KEY_TYPES[key]
+        if type(value) not in types:
+            raise MalformedEventError(f"{key} must be {expected}, not {type(value).__name__}")
+    try:
+        timestamp = float(timestamp)
+    except OverflowError:  # an integer beyond the float range
+        raise MalformedEventError("timestamp is too large for a float") from None
     # users and URLs repeat across events: interning keeps one copy of each
     return InteractionEvent(
         tweet_id=str(tweet_id),
         user=sys.intern(str(user)),
         target_user=None if target is None else sys.intern(str(target)),
         interaction=interaction,
-        url=sys.intern(str(url)),
-        timestamp=float(timestamp),
+        url=sys.intern(url),
+        timestamp=timestamp,
     )
 
 

@@ -114,13 +114,12 @@ def shell_counts(network: DiffusionNetwork, undirected: bool = False) -> np.ndar
         twins[nbrs] = c
     class_of = np.fromiter(map(twins.__getitem__, adj), dtype=np.int64, count=n)
     seed_ptr, seeds = _csr(list(twins))
-    if undirected:
-        indptr, pred = _csr(adj)
-    else:
-        sources, targets = network.arcs
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(targets, minlength=n), out=indptr[1:])
-        pred = sources[np.argsort(targets, kind="stable")]
+    sources, targets = network.arcs
+    if undirected:  # a reciprocated pair then pulls twice, which the OR ignores
+        sources, targets = np.concatenate([sources, targets]), np.concatenate([targets, sources])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(targets, minlength=n), out=indptr[1:])
+    pred = sources[np.argsort(targets, kind="stable")]
     pulled = np.flatnonzero(np.diff(indptr))
     starts = indptr[pulled]
 
@@ -184,20 +183,15 @@ def pad_portraits(b1: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return out[0], out[1]
 
 
-def pair_distribution(b: np.ndarray) -> np.ndarray:
-    """Probability mass ``P(l, k) ~ k * B[l][k]``, normalized over k >= 1."""
-    weighted = b * np.arange(b.shape[1], dtype=np.float64)
-    total = weighted.sum()
-    return weighted / total
-
-
 def portrait_distributions(portraits: Sequence[np.ndarray]) -> np.ndarray:
     """The pair distributions of several portraits as the rows of one array.
 
-    Padding adds mass only at k = 0, which ``pair_distribution`` weighs 0,
-    so every distribution lives on the cells (l, k), k >= 1, where some
-    portrait is nonzero. Column j holds the j-th of those cells in (l, k)
-    order. Rows compare through ``divergence_from_portraits``.
+    Row i is the probability mass ``P(l, k) ~ k * B[l][k]`` of portrait
+    i, normalized over k >= 1. A cell with k = 0, where ``pad_portraits``
+    adds its rows, weighs 0, so every distribution lives on the cells
+    (l, k), k >= 1, where some portrait is nonzero. Column j holds the
+    j-th of those cells in (l, k) order. Rows compare through
+    ``divergence_from_portraits``.
     """
     cols = max(b.shape[1] for b in portraits)
     keys, masses = [], []
@@ -214,30 +208,9 @@ def portrait_distributions(portraits: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def divergence_from_portraits(b1: np.ndarray, b2: np.ndarray) -> float | np.ndarray:
-    """Jensen-Shannon divergence (base 2) of two pair-weighted portraits.
-
-    A 1-D ``b1`` is a row of ``portrait_distributions`` instead, compared
-    with every row of the 2-D ``b2`` from the same array; the divergences
-    are returned as an array.
-    """
-    b1 = np.asarray(b1)
-    if b1.ndim == 1:
-        return _divergence_rows(b1, np.asarray(b2))
-    b1, b2 = pad_portraits(b1, np.asarray(b2))
-    p = pair_distribution(b1).ravel()
-    q = pair_distribution(b2).ravel()
-    m = 0.5 * (p + q)
-
-    def kl(x: np.ndarray) -> float:
-        mask = x > 0
-        return float(np.sum(x[mask] * np.log2(x[mask] / m[mask])))
-
-    return 0.5 * kl(p) + 0.5 * kl(q)
-
-
-def _divergence_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Divergences of the distribution ``p`` from each row of ``q``."""
+def divergence_from_portraits(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Jensen-Shannon divergences (base 2) of the row ``p`` of
+    ``portrait_distributions`` from each row of ``q``, rows of the same array."""
     support = p > 0
     ps, qs = p[support], q[:, support]
     ms = 0.5 * (ps + qs)
@@ -252,7 +225,5 @@ def portrait_divergence(
     a: DiffusionNetwork, b: DiffusionNetwork, undirected: bool = False
 ) -> float:
     """Portrait divergence between two networks, in [0, 1]."""
-    return divergence_from_portraits(
-        portrait(a, undirected=undirected), portrait(b, undirected=undirected)
-    )
-
+    p, q = portrait_distributions([portrait(a, undirected), portrait(b, undirected)])
+    return float(divergence_from_portraits(p, q[None])[0])

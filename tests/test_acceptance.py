@@ -21,7 +21,7 @@ from diffnet import (
     count_orbits,
     dataset_from_samples,
     dgcd13,
-    divergence_from_portraits,
+    distance_matrix,
     evaluate,
     extract_features,
     generate_ensemble,
@@ -29,7 +29,6 @@ from diffnet import (
     logistic_fit,
     logistic_loss_grad,
     logistic_predict,
-    pad_portraits,
     portrait,
     portrait_divergence,
     roc_auc,
@@ -271,14 +270,7 @@ def test_c8(synthetic_benchmark, acceptance_log):
     t0 = time.perf_counter()
     networks = sorted(medium_networks, key=lambda net: net.network_id)
     assert len(networks) == 400
-    portraits = [portrait(net) for net in networks]
-    m = len(portraits)
-    matrix = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            matrix[i, j] = matrix[j, i] = divergence_from_portraits(
-                *pad_portraits(portraits[i], portraits[j])
-            )
+    matrix = distance_matrix([portrait(net) for net in networks], "portrait")
     by_id = {s.network_id: s for s in datasets[SizeBucket.D_100_1000].samples}
     samples = [by_id[net.network_id] for net in networks]
     dataset = dataset_from_samples(samples, distances=([s.network_id for s in samples], matrix))

@@ -672,6 +672,12 @@ def test_classify_and_report_without_options_record_run_config_defaults(tmp_path
         # the tweet counts come from --manifest: without it the filter has no input
         ["classify", "--features", "x", "--out", "y", "--min-tweets", "100"],
         ["report", "--features", "x", "--out", "y", "--min-tweets", "100000"],
+        # options the chosen mode would not read
+        ["distances", "m.csv", "--out", "d.csv", "--which", "portrait", "--include-large"],
+        ["distances", "m.csv", "--out", "d.csv", "--which", "dgcd13", "--portrait-undirected"],
+        ["distances", "m.csv", "--out", "d.csv", "--portrait-undirected"],  # dgcd13 by default
+        ["classify", "--features", "x", "--out", "y", "--classifier", "lr", "--k", "5"],
+        ["classify", "--features", "x", "--out", "y", "--k", "5"],  # lr by default
     ],
 )
 def test_invalid_options_exit_two(argv):
@@ -680,6 +686,22 @@ def test_invalid_options_exit_two(argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["distances", "m.csv", "--out", "d.csv", "--include-large"], "include_large"),
+        (["distances", "m.csv", "--out", "d.csv", "--which", "portrait", "--portrait-undirected"],
+         "portrait_undirected"),
+        (["classify", "--features", "x", "--out", "y", "--classifier", "knn", "--k", "5"], "k"),
+        (["classify", "--features", "x", "--out", "y", "--classifier", "knn-distance", "--k", "5"],
+         "k"),
+    ],
+)
+def test_options_pass_with_the_mode_that_reads_them(argv, name):
+    config = cli.config_from_args(cli.build_parser().parse_args(argv))
+    assert getattr(config, name) == (5 if name == "k" else True)
 
 
 def test_worker_count_env(monkeypatch):

@@ -285,6 +285,68 @@ def test_distance_matrix_duplicate_header_id_rejected(tmp_path):
         read_distance_matrix(path)
 
 
+# --- line numbers ------------------------------------------------------------
+
+_MANIFEST_HEADER = "network_id,path,label,bias,tweet_count\n"
+_FEATURE_HEADER = "network_id,label,bias,n_nodes,scc,lscc,wcc,lwcc,dwcc,cc,kc\n"
+
+# (reader, text, line): the last row is bad and ends on physical line
+# ``line``; a quoted line break or a blank line comes before it
+_LINE_CASES = {
+    "manifest-quoted-newline": (
+        read_manifest,
+        _MANIFEST_HEADER + 'a,"a\nb.edges",mainstream,none,60\nc,c.edges,nonsense,none,60\n',
+        4,
+    ),
+    "manifest-blank-line": (
+        read_manifest,
+        _MANIFEST_HEADER + "a,a.edges,mainstream,none,60\n\nc,c.edges,nonsense,none,60\n",
+        4,
+    ),
+    "feature-table-quoted-newline": (
+        read_feature_table,
+        _FEATURE_HEADER + '"a\nb",mainstream,none,3,1,1,1,3,1,0.5,1\n'
+        "c,mainstream,none,3,1,1,1,3,1,zero,1\n",
+        4,
+    ),
+    "feature-table-blank-line": (
+        read_feature_table,
+        _FEATURE_HEADER + "a,mainstream,none,3,1,1,1,3,1,0.5,1\n\n"
+        "c,mainstream,none,3,1,1,1,3,1,zero,1\n",
+        4,
+    ),
+    "matrix-quoted-newline": (
+        read_distance_matrix,
+        'network_id,"a\nb",c\n"a\nb",0.0,1.0\nc,x,0.0\n',
+        5,
+    ),
+    # the reader keeps blank rows, so the blank line is the bad row
+    "matrix-blank-line": (read_distance_matrix, "network_id,a,b\na,0.0,1.0\n\nb,1.0,0.0\n", 3),
+}
+
+
+@pytest.mark.parametrize("case", list(_LINE_CASES))
+def test_errors_name_the_physical_line(tmp_path, case):
+    read, text, line = _LINE_CASES[case]
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(FileFormatError, match=re.escape(f"t.csv:{line}: ")):
+        read(path)
+
+
+@pytest.mark.parametrize(
+    "first_row, first_line",
+    [('a,"a\nb.edges",mainstream,none,60\n', 3), ("a,a.edges,mainstream,none,60\n\n", 2)],
+    ids=["quoted-newline", "blank-line"],
+)
+def test_duplicate_id_names_both_physical_lines(tmp_path, first_row, first_line):
+    path = tmp_path / "m.csv"
+    path.write_text(_MANIFEST_HEADER + first_row + "a,c.edges,mainstream,none,60\n")
+    message = f"m.csv:4: duplicate network_id 'a', first on line {first_line}"
+    with pytest.raises(FileFormatError, match=re.escape(message)):
+        read_manifest(path)
+
+
 # --- number cells ------------------------------------------------------------
 
 # each file's line 3 holds {cell} in a number column

@@ -389,7 +389,8 @@ def test_row_kernel_matches_pair_loop_with_exact_duplicates():
     want = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            want[i, j] = want[j, i] = dgcd_from_correlations(corrs[i], corrs[j])
+            upper = np.triu(corrs[i] - corrs[j], k=1)
+            want[i, j] = want[j, i] = np.sqrt(np.sum(upper**2))
     stack = np.stack(corrs)
     for i in range(m - 1):
         got = dgcd_from_correlations(stack[i], stack[i + 1 :])

@@ -112,7 +112,39 @@ _VALID_EVENT = {"tweet_id": "t", "user": "A", "target_user": "B", "interaction":
                 "url": URL, "timestamp": 0}
 
 
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("user", None, "user must be a string or an integer, not NoneType"),
+        ("user", ["A"], "user must be a string or an integer, not list"),
+        ("tweet_id", {"id": 1}, "tweet_id must be a string or an integer, not dict"),
+        ("tweet_id", 1.5, "tweet_id must be a string or an integer, not float"),
+        ("target_user", True, "target_user must be a string, an integer or null, not bool"),
+        ("url", None, "url must be a string, not NoneType"),
+        ("url", 7, "url must be a string, not int"),
+        ("timestamp", True, "timestamp must be a number, not bool"),
+        ("timestamp", "0", "timestamp must be a number, not str"),
+        ("timestamp", 10**400, "timestamp is too large for a float"),
+    ],
+)
+def test_parse_event_rejects_values_of_other_json_types(key, value, expected):
+    with pytest.raises(MalformedEventError, match=re.escape(expected)):
+        parse_event({**_VALID_EVENT, key: value})
+
+
+def test_parse_event_takes_integer_names_and_a_missing_target():
+    event = parse_event({**_VALID_EVENT, "tweet_id": 9, "user": 1, "target_user": 2})
+    assert (event.tweet_id, event.user, event.target_user) == ("9", "1", "2")
+    original = {**_VALID_EVENT, "interaction": "original"}
+    del original["target_user"]
+    assert parse_event(original).target_user is None
+
+
 @given(mutated_event_objects())
+@example({**_VALID_EVENT, "user": None})
+@example({**_VALID_EVENT, "timestamp": True})
+@example({**_VALID_EVENT, "timestamp": 2**1024 - 2**970})
+@example({**_VALID_EVENT, "timestamp": 2**1024 - 2**970 - 1})
 @example({**_VALID_EVENT, "interaction": ["retweet"]})
 @example({**_VALID_EVENT, "interaction": {"retweet": 1}})
 @example(list(_EVENT_FIELDS))
@@ -326,6 +358,17 @@ def test_read_events_skip_malformed_counts(tmp_path):
     events, skipped = read_events(path)
     assert len(events) == 2
     assert skipped == [(2, "Expecting value: line 1 column 1 (char 0)")]
+
+
+def test_read_events_skips_values_of_other_json_types(tmp_path):
+    path = tmp_path / "events.jsonl"
+    _write_jsonl(path, [_VALID_EVENT, {**_VALID_EVENT, "user": None}, {**_VALID_EVENT, "url": None}])
+    events, skipped = read_events(path)
+    assert len(events) == 1
+    assert skipped == [
+        (2, "user must be a string or an integer, not NoneType"),
+        (3, "url must be a string, not NoneType"),
+    ]
 
 
 def test_group_events_by_url():

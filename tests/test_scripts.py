@@ -44,3 +44,9 @@ def test_run_distance_benchmark(tmp_path, capsys, metric):
     report = json.loads(out.read_text())
     assert report["n_samples"] == 40
     assert report["config"]["classifier"] == "knn-distance"
+
+
+def test_run_distance_benchmark_rejects_an_option_it_would_not_read():
+    with pytest.raises(SystemExit) as excinfo:
+        load_script("run_distance_benchmark").main(["--metric", "dgcd13", "--portrait-undirected"])
+    assert excinfo.value.code == 2

@@ -442,13 +442,25 @@ def oracle_parse_event(obj) -> InteractionEvent:
     except ValueError:
         raise MalformedEventError(f"unknown interaction type {obj['interaction']!r}") from None
     target = obj.get("target_user")
+    for key, value in (("tweet_id", obj["tweet_id"]), ("user", obj["user"]), ("target_user", target)):
+        allowed = isinstance(value, (str, int)) or (key == "target_user" and value is None)
+        if isinstance(value, bool) or not allowed:
+            expected = "a string, an integer or null" if key == "target_user" else "a string or an integer"
+            raise MalformedEventError(f"{key} must be {expected}, not {type(value).__name__}")
+    if not isinstance(obj["url"], str):
+        raise MalformedEventError(f"url must be a string, not {type(obj['url']).__name__}")
+    timestamp = obj["timestamp"]
+    if isinstance(timestamp, bool) or not isinstance(timestamp, (int, float)):
+        raise MalformedEventError(f"timestamp must be a number, not {type(timestamp).__name__}")
+    if isinstance(timestamp, int) and abs(timestamp) >= 2**1024 - 2**970:  # rounds past 2**1024
+        raise MalformedEventError("timestamp is too large for a float")
     return InteractionEvent(
         tweet_id=str(obj["tweet_id"]),
         user=str(obj["user"]),
         target_user=None if target is None else str(target),
         interaction=interaction,
-        url=str(obj["url"]),
-        timestamp=float(obj["timestamp"]),
+        url=obj["url"],
+        timestamp=float(timestamp),
     )
 
 
