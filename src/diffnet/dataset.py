@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -168,11 +169,11 @@ def read_feature_table(path: str | Path) -> list[Sample]:
         _check_number_cells(cells, path, line_no)
         try:
             n_nodes = int(cells[0])
-            fv = FeatureVector(*map(float, cells[1:]))
+            values = list(map(float, cells[1:]))
             samples.append(
                 Sample(
                     network_id=row["network_id"],
-                    features=fv,
+                    features=FeatureVector(*values),
                     label=Label(row["label"]),
                     bias=Bias(row["bias"]),
                     n_nodes=n_nodes,
@@ -180,6 +181,9 @@ def read_feature_table(path: str | Path) -> list[Sample]:
             )
         except (KeyError, ValueError) as exc:
             raise FileFormatError(f"bad feature row: {exc}", path=path, line_no=line_no)
+        for name, value in zip(FEATURE_NAMES, values):
+            if not math.isfinite(value):
+                raise FileFormatError(f"non-finite {name}: {row[name]!r}", path=path, line_no=line_no)
     return samples
 
 

@@ -347,6 +347,8 @@ def parse_event(obj: Mapping) -> InteractionEvent:
     try:
         tweet_id, user, kind, url, timestamp = _required_fields(obj)
     except (LookupError, TypeError):
+        if not isinstance(obj, Mapping):
+            raise MalformedEventError(f"event must be a JSON object, not {type(obj).__name__}") from None
         missing = [k for k in _REQUIRED_KEYS if k not in obj]
         if missing:
             raise MalformedEventError(f"event object missing keys: {', '.join(missing)}") from None

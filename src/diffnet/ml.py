@@ -204,31 +204,23 @@ def logistic_predict(model: LogisticModel, x: np.ndarray) -> np.ndarray:
 # --- k-nearest neighbors ----------------------------------------------------
 
 
-def _knn_score(distances: np.ndarray, labels: np.ndarray, k: int) -> float:
-    if not 1 <= k <= len(labels):
-        raise ValueError(f"k={k} out of range for {len(labels)} training samples")
-    nearest = np.argsort(distances, kind="stable")[:k]  # ties: smaller index wins
-    return float(labels[nearest].mean())
+def knn_predict_from_distances(distances: np.ndarray, train_y: np.ndarray, k: int) -> np.ndarray:
+    """Per row of ``distances`` (one row per query, one column per training
+    sample), the fraction of the k nearest training samples that are
+    positive; among tied distances the smaller column wins."""
+    train_y = np.asarray(train_y)
+    if not 1 <= k <= len(train_y):
+        raise ValueError(f"k={k} out of range for {len(train_y)} training samples")
+    nearest = np.argsort(distances, axis=1, kind="stable")[:, :k]
+    return train_y[nearest].mean(axis=1)
 
 
 def knn_predict(train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray, k: int) -> float:
-    """Fraction of the k Euclidean-nearest training samples that are positive."""
+    """The one-row Euclidean case of :func:`knn_predict_from_distances`."""
     train_x = np.asarray(train_x, dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
     distances = np.linalg.norm(train_x - query, axis=1)
-    return _knn_score(distances, np.asarray(train_y), k)
-
-
-def knn_predict_from_distances(
-    distance_matrix: np.ndarray,
-    train_indices: np.ndarray,
-    train_y: np.ndarray,
-    query_index: int,
-    k: int,
-) -> float:
-    """Same scoring rule, but reading distances from a precomputed matrix."""
-    distances = np.asarray(distance_matrix)[query_index, np.asarray(train_indices)]
-    return _knn_score(distances, np.asarray(train_y), k)
+    return float(knn_predict_from_distances(distances[None], train_y, k)[0])
 
 
 # --- cross validation -------------------------------------------------------
@@ -369,7 +361,7 @@ class LabeledDataset:
                 raise ValueError("distance matrix must be finite")
             if np.any(np.diag(d) != 0.0):
                 raise ValueError("distance matrix diagonal must be zero")
-            if np.max(np.abs(d - d.T)) > 1e-9:
+            if d.size and np.max(np.abs(d - d.T)) > 1e-9:
                 raise ValueError("distance matrix must be symmetric")
             self.distances = d
 
@@ -468,62 +460,54 @@ def _fold_scores(
     x: np.ndarray,
     y: np.ndarray,
     distances: np.ndarray | None,
-    train_idx: np.ndarray,
-    test_idx: np.ndarray,
+    train: np.ndarray,
+    test: np.ndarray,
     config: EvalConfig,
-    fold_no: int,
 ) -> np.ndarray:
-    if config.classifier == "lr":
-        means, stds = standardize_fit(x[train_idx])
-        model = logistic_fit(standardize_apply(x[train_idx], means, stds), y[train_idx], config.logistic)
-        return logistic_predict(model, standardize_apply(x[test_idx], means, stds))
-    if config.classifier == "knn":
-        if config.k > len(train_idx):
-            raise ValueError(f"fold {fold_no}: k={config.k} exceeds training size {len(train_idx)}")
-        means, stds = standardize_fit(x[train_idx])
-        train_z = standardize_apply(x[train_idx], means, stds)
-        test_z = standardize_apply(x[test_idx], means, stds)
-        return np.array([knn_predict(train_z, y[train_idx], q, config.k) for q in test_z])
+    """Scores of the ``test`` rows from a model of the ``train`` rows; both
+    index the rows of ``x`` and ``y`` and the rows and columns of
+    ``distances``."""
     if config.classifier == "knn-distance":
-        if distances is None:
-            raise ValueError("knn-distance requires a dataset with a distance matrix")
-        if config.k > len(train_idx):
-            raise ValueError(f"fold {fold_no}: k={config.k} exceeds training size {len(train_idx)}")
-        return np.array(
-            [
-                knn_predict_from_distances(distances, train_idx, y[train_idx], q, config.k)
-                for q in test_idx
-            ]
-        )
-    raise ValueError(f"unknown classifier {config.classifier!r}")
+        block = distances[np.ix_(test, train)]
+    else:
+        means, stds = standardize_fit(x[train])
+        train_z = standardize_apply(x[train], means, stds)
+        test_z = standardize_apply(x[test], means, stds)
+        if config.classifier == "lr":
+            return logistic_predict(logistic_fit(train_z, y[train], config.logistic), test_z)
+        block = np.linalg.norm(train_z[None] - test_z[:, None], axis=2)
+    return knn_predict_from_distances(block, y[train], config.k)
 
 
 def evaluate(dataset: LabeledDataset, config: EvalConfig, bucket: SizeBucket = SizeBucket.D_ALL) -> ClassificationReport:
     """Full cross-validated evaluation restricted to one size bucket."""
+    if config.classifier not in ("lr", "knn", "knn-distance"):
+        raise ValueError(f"unknown classifier {config.classifier!r}")
+    if config.classifier == "knn-distance" and dataset.distances is None:
+        raise ValueError("knn-distance requires a dataset with a distance matrix")
     idx = dataset.bucket_indices(bucket)
     if len(idx) == 0:
         raise ValueError(f"no samples in bucket {bucket.value}")
-    x = dataset.feature_matrix()[idx]
-    y = dataset.label_vector()[idx]
-    for cls in (0, 1):
-        if np.sum(y == cls) < 20:
-            raise ValueError(
-                f"bucket {bucket.value}: class {cls} has {int(np.sum(y == cls))} samples, need >= 20"
-            )
-    distances = None
-    if dataset.distances is not None:
-        distances = dataset.distances[np.ix_(idx, idx)]
+    x = dataset.feature_matrix()
+    y = dataset.label_vector()
+    for cls, count in enumerate(np.bincount(y[idx], minlength=2)):
+        if count < 20:
+            raise ValueError(f"bucket {bucket.value}: class {cls} has {count} samples, need >= 20")
 
-    splits = stratified_shuffle_split(y, folds=config.folds, test_fraction=config.test_fraction, seed=config.seed)
+    splits = stratified_shuffle_split(y[idx], folds=config.folds, test_fraction=config.test_fraction, seed=config.seed)
+    n_train = len(splits[0][0])  # the same in every fold
+    if config.classifier != "lr" and config.k > n_train:
+        raise ValueError(f"fold 0: k={config.k} exceeds training size {n_train}")
     folds = []
     pooled_scores, pooled_labels = [], []
-    for fold_no, (train_idx, test_idx) in enumerate(splits):
-        scores = _fold_scores(x, y, distances, train_idx, test_idx, config, fold_no)
-        roc = roc_auc(scores, y[test_idx])
-        precision, recall, f1 = threshold_metrics(scores, y[test_idx], config.threshold)
+    for train_idx, test_idx in splits:
+        test = idx[test_idx]
+        scores = _fold_scores(x, y, dataset.distances, idx[train_idx], test, config)
+        roc = roc_auc(scores, y[test])
+        precision, recall, f1 = threshold_metrics(scores, y[test], config.threshold)
         folds.append(FoldMetrics(auc=roc.auc, precision=precision, recall=recall, f1=f1, roc=roc))
         pooled_scores.append(scores)
-        pooled_labels.append(y[test_idx])
+        pooled_labels.append(y[test])
     pooled = roc_auc(np.concatenate(pooled_scores), np.concatenate(pooled_labels))
     return ClassificationReport(
         folds=folds,

@@ -187,10 +187,10 @@ def portrait_distributions(portraits: Sequence[np.ndarray]) -> np.ndarray:
     """The pair distributions of several portraits as the rows of one array.
 
     Row i is the probability mass ``P(l, k) ~ k * B[l][k]`` of portrait
-    i, normalized over k >= 1. A cell with k = 0, where ``pad_portraits``
-    adds its rows, weighs 0, so every distribution lives on the cells
-    (l, k), k >= 1, where some portrait is nonzero. Column j holds the
-    j-th of those cells in (l, k) order. Rows compare through
+    i, normalized over k >= 1. A cell with k = 0 weighs 0, so portraits of
+    different shapes need no common grid: every distribution lives on the
+    cells (l, k), k >= 1, where some portrait is nonzero. Column j holds
+    the j-th of those cells in (l, k) order. Rows compare through
     ``divergence_from_portraits``.
     """
     cols = max(b.shape[1] for b in portraits)

@@ -524,6 +524,21 @@ def test_classify_names_feature_ids_the_matrix_lacks(tmp_path, capsys):
     assert (tmp_path / "r.json").read_bytes() == (tmp_path / "k.json").read_bytes()
 
 
+def test_classify_with_distances_and_no_labeled_rows_names_the_empty_bucket(tmp_path, capsys):
+    rng = np.random.default_rng(1)
+    rows = [(f"u-{i}", Label.UNLABELED, Bias.NONE, 50, feature_row(rng, i % 2 == 0)) for i in range(4)]
+    ft = tmp_path / "features.csv"
+    write_feature_table(rows, ft)
+    dist = tmp_path / "dist.csv"
+    write_distance_matrix([r[0] for r in rows], 1.0 - np.eye(4), dist)
+    argv = ["classify", "--features", str(ft), "--out", str(tmp_path / "r.json")]
+
+    assert main(argv + ["--distances", str(dist), "--classifier", "knn-distance"]) == EXIT_FATAL
+    with_matrix = capsys.readouterr().err
+    assert main(argv) == EXIT_FATAL
+    assert with_matrix == capsys.readouterr().err == "error: no samples in bucket all\n"
+
+
 def test_classify_manifest_must_cover_feature_ids(tmp_path, capsys):
     ft = tmp_path / "features.csv"
     write_labeled_table(ft, n_per_class=3)
@@ -642,6 +657,22 @@ def test_report_single_class_is_fatal(tmp_path, capsys):
 
     assert code == EXIT_FATAL
     assert "both classes required for a report" in capsys.readouterr().err
+
+
+def test_classify_and_report_refuse_non_finite_feature_cells(tmp_path, capsys):
+    ft = tmp_path / "features.csv"
+    write_labeled_table(ft)
+    lines = ft.read_text().splitlines(keepends=True)
+    for line_no in range(2, 52, 10):  # five rows get a nan cc
+        cells = lines[line_no - 1].split(",")
+        cells[9] = "nan"
+        lines[line_no - 1] = ",".join(cells)
+    ft.write_text("".join(lines))
+
+    for argv in (["classify", "--classifier", "knn", "--k", "5"], ["report"]):
+        code = main(argv + ["--features", str(ft), "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_FATAL
+        assert f"error: {ft}:2: non-finite cc: 'nan'" in capsys.readouterr().err
 
 
 def test_classify_and_report_without_options_record_run_config_defaults(tmp_path):

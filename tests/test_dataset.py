@@ -152,6 +152,22 @@ def test_feature_table_bad_cell_reports_line(tmp_path):
         read_feature_table(path)
 
 
+@pytest.mark.parametrize(
+    "column, cell", [("cc", "nan"), ("cc", "inf"), ("cc", "-inf"), ("scc", "inf"), ("kc", "NaN")]
+)
+def test_feature_table_non_finite_cell_names_line_and_column(tmp_path, column, cell):
+    path = tmp_path / "f.csv"
+    row = dict(zip(("scc", "lscc", "wcc", "lwcc", "dwcc", "cc", "kc"), "1 1 1 3 1 0.5 1".split()))
+    row[column] = cell
+    path.write_text(
+        "network_id,label,bias,n_nodes,scc,lscc,wcc,lwcc,dwcc,cc,kc\n"
+        "a,mainstream,none,3,1,1,1,3,1,0.5,1\n"
+        "b,mainstream,none,3," + ",".join(row.values()) + "\n"
+    )
+    with pytest.raises(FileFormatError, match=re.escape(f"f.csv:3: non-finite {column}: {cell!r}")):
+        read_feature_table(path)
+
+
 def test_feature_table_missing_column_rejected(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("network_id,label,bias\n")

@@ -371,6 +371,29 @@ def test_read_events_skips_values_of_other_json_types(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "obj, kind",
+    [(5, "int"), (None, "NoneType"), (" ".join(_EVENT_FIELDS), "str"), ([1, 2], "list"),
+     (list(_EVENT_FIELDS), "list"), (True, "bool"), (2.5, "float")],
+)
+def test_parse_event_refuses_a_value_that_is_not_an_object(obj, kind):
+    with pytest.raises(MalformedEventError, match=f"^event must be a JSON object, not {kind}$"):
+        parse_event(obj)
+
+
+def test_read_events_names_lines_that_are_not_objects(tmp_path):
+    path = tmp_path / "events.jsonl"
+    _write_jsonl(path, [_VALID_EVENT, "5", "null", json.dumps(" ".join(_EVENT_FIELDS)), "[1, 2]"])
+    events, skipped = read_events(path)
+    assert len(events) == 1
+    assert skipped == [
+        (2, "event must be a JSON object, not int"),
+        (3, "event must be a JSON object, not NoneType"),
+        (4, "event must be a JSON object, not str"),
+        (5, "event must be a JSON object, not list"),
+    ]
+
+
 def test_group_events_by_url():
     events = [
         ev("t0", "A", None, Interaction.ORIGINAL, url="u1"),

@@ -330,18 +330,20 @@ def test_knn_k_out_of_range():
             knn_predict(train, labels, np.array([0.5]), k=k)
 
 
-@given(st.integers(0, 10_000), st.integers(3, 12), st.integers(1, 12))
-def test_knn_matrix_form_matches_feature_form(seed, n, k):
-    assume(k <= n - 1)
+@given(st.integers(0, 10_000), st.integers(3, 12), st.integers(1, 12), st.booleans())
+def test_knn_matrix_form_matches_feature_form(seed, n, k, on_grid):
     rng = np.random.default_rng(seed)
-    points = rng.normal(size=(n, 2))
+    test = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+    train = np.setdiff1d(np.arange(n), test)
+    assume(k <= len(train))
+    # points on a small integer grid tie many distances
+    points = rng.integers(0, 3, size=(n, 2)).astype(float) if on_grid else rng.normal(size=(n, 2))
     labels = rng.integers(0, 2, size=n)
     matrix = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
-    for q in range(n):
-        train_idx = np.array([i for i in range(n) if i != q])
-        direct = knn_predict(points[train_idx], labels[train_idx], points[q], k)
-        via_matrix = knn_predict_from_distances(matrix, train_idx, labels[train_idx], q, k)
-        assert direct == via_matrix
+    via_matrix = knn_predict_from_distances(matrix[np.ix_(test, train)], labels[train], k)
+    assert via_matrix.shape == (len(test),)
+    for row, q in zip(via_matrix, test):
+        assert row == knn_predict(points[train], labels[train], points[q], k)
 
 
 # --- stratified shuffle split -----------------------------------------------
@@ -600,6 +602,13 @@ def test_evaluate_knn_distance_needs_matrix():
         evaluate(ds, EvalConfig(classifier="knn-distance", k=5))
 
 
+def test_evaluate_rejects_an_unknown_classifier():
+    rng = np.random.default_rng(25)
+    ds = two_class_dataset(rng, 20, (0.0, 0.5), (0.5, 1.0))
+    with pytest.raises(ValueError, match="unknown classifier 'svm'"):
+        evaluate(ds, EvalConfig(classifier="svm"))
+
+
 def test_evaluate_knn_distance_on_separated_matrix():
     rng = np.random.default_rng(26)
     ds = two_class_dataset(rng, 25, (0.0, 0.1), (0.9, 1.0))
@@ -687,6 +696,39 @@ def test_evaluate_standardizes_on_train_only():
         leaky = logistic_predict(model_l, standardize_apply(x[test], *leaky_fit))
         gaps.append(np.max(np.abs(clean - leaky)))
     assert max(gaps) > 0.05
+
+
+def test_evaluate_knn_matches_per_query_reference():
+    # the reference scores each test sample on its own, as knn_predict does
+    rng = np.random.default_rng(31)
+    samples = two_class_dataset(rng, 25, (0.0, 0.6), (0.4, 1.0)).samples
+    samples += [  # a coarse second bucket, so the reference indexes within one bucket
+        make_sample(100 + i, [int(rng.integers(1, 4)), 1, 1, 2, 0, 0.5, 1],
+                    Label.MAINSTREAM if i < 20 else Label.DISINFORMATION, n_nodes=500)
+        for i in range(40)
+    ]
+    ds = LabeledDataset(samples)
+    config = EvalConfig(classifier="knn", k=7, seed=3)
+    for bucket in (SizeBucket.D_0_100, SizeBucket.D_100_1000, SizeBucket.D_ALL):
+        report = evaluate(ds, config, bucket)
+
+        idx = ds.bucket_indices(bucket)
+        x, y = ds.feature_matrix()[idx], ds.label_vector()[idx]
+        pooled_scores, pooled_labels = [], []
+        splits = stratified_shuffle_split(y, folds=10, test_fraction=0.1, seed=3)
+        for fold, (train, test) in enumerate(splits):
+            means, stds = standardize_fit(x[train])
+            train_z = standardize_apply(x[train], means, stds)
+            scores = []
+            for q in standardize_apply(x[test], means, stds):
+                nearest = np.argsort(np.linalg.norm(train_z - q, axis=1), kind="stable")[:7]
+                scores.append(float(y[train][nearest].mean()))
+            roc = roc_auc(np.array(scores), y[test])
+            assert report.folds[fold].auc == roc.auc
+            assert np.array_equal(report.folds[fold].roc.thresholds, roc.thresholds)
+            pooled_scores += scores
+            pooled_labels.append(y[test])
+        assert report.pooled_auc == roc_auc(np.array(pooled_scores), np.concatenate(pooled_labels)).auc
 
 
 def test_eval_config_dict_flattens_the_logistic_settings():

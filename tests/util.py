@@ -434,6 +434,8 @@ _ORACLE_EVENT_KEYS = ("tweet_id", "user", "target_user", "interaction", "url", "
 def oracle_parse_event(obj) -> InteractionEvent:
     """``graphs.parse_event`` checking every key up front and converting
     the interaction through the ``Interaction`` constructor."""
+    if not isinstance(obj, dict):
+        raise MalformedEventError(f"event must be a JSON object, not {type(obj).__name__}")
     missing = [k for k in _ORACLE_EVENT_KEYS if k != "target_user" and k not in obj]
     if missing:
         raise MalformedEventError(f"event object missing keys: {', '.join(missing)}")
