@@ -4,9 +4,9 @@ Subcommands: build, features, distances, classify, generate, report.
 Every command is deterministic given its inputs and seed. Exit codes:
 0 = success, 1 = fatal error, 2 = completed with skipped items.
 
-The DIFFNET_WORKERS environment variable sets the process pool size used
-for per-network signature and portrait computation (default 1); any value
-but a positive integer is rejected.
+The DIFFNET_WORKERS environment variable sets the process pool size with
+which ``features`` and ``distances`` measure the networks of a manifest
+(default 1); any value but a positive integer is rejected.
 """
 
 from __future__ import annotations
@@ -183,38 +183,56 @@ def cmd_build(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_PARTIAL if skipped else EXIT_OK
 
 
-# --- features ---------------------------------------------------------------
+# --- corpus pass: features and distances ------------------------------------
+
+
+def _measure(task):
+    """``(fn(network), None)`` for one ``(fn, path, network_id)`` task, or
+    ``(None, reason)`` when the network cannot be loaded or measured: one
+    bad file cannot stop a pool, and only paths and results cross it."""
+    fn, path, network_id = task
+    try:
+        return fn(load_network(path, network_id=network_id)), None
+    except (DiffnetError, OSError, ValueError) as exc:
+        return None, str(exc)
+
+
+def _measure_corpus(manifest: str, fn) -> tuple[list, bool]:
+    """``(entry, fn(network))`` for every network of the manifest, in
+    network_id order, on a pool of DIFFNET_WORKERS processes (in this one
+    when 1), and whether any network was skipped with a warning."""
+    manifest_path = Path(manifest)
+    entries = sorted(ds.read_manifest(manifest_path), key=lambda e: e.network_id)
+    tasks = [(fn, e.resolve_path(manifest_path.parent), e.network_id) for e in entries]
+    workers = min(worker_count(), len(tasks))  # a pool starts all its workers at once
+    if workers < 2:
+        results = list(map(_measure, tasks))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_measure, tasks))
+    for entry, (_, error) in zip(entries, results):
+        if error is not None:
+            print(f"warning: skipped {entry.network_id}: {error}", file=sys.stderr)
+    measured = [(e, result) for e, (result, error) in zip(entries, results) if error is None]
+    return measured, len(measured) < len(entries)
+
+
+def _features(network: DiffusionNetwork, *, clustering: ClusteringVariant):
+    return network.n_nodes, extract_features(network, clustering=clustering)
 
 
 def cmd_features(args: argparse.Namespace, config: RunConfig) -> int:
-    manifest_path = Path(args.manifest)
-    entries = sorted(ds.read_manifest(manifest_path), key=lambda e: e.network_id)
-    rows = []
-    failures = []
-    for entry in entries:
-        try:
-            network = load_network(entry.resolve_path(manifest_path.parent))
-            fv = extract_features(network, clustering=config.clustering)
-        except (DiffnetError, OSError, ValueError) as exc:
-            failures.append((entry.network_id, str(exc)))
-            continue
-        rows.append((entry.network_id, entry.label, entry.bias, len(network.nodes), fv))
+    features = partial(_features, clustering=config.clustering)
+    measured, skipped = _measure_corpus(args.manifest, features)
+    rows = [(e.network_id, e.label, e.bias, n_nodes, fv) for e, (n_nodes, fv) in measured]
     ds.write_feature_table(rows, args.out)
     print(f"wrote {len(rows)} feature rows -> {args.out}")
-    for network_id, message in failures:
-        print(f"warning: skipped {network_id}: {message}", file=sys.stderr)
-    return EXIT_PARTIAL if failures else EXIT_OK
+    return EXIT_PARTIAL if skipped else EXIT_OK
 
 
-# --- distances --------------------------------------------------------------
-
-
-def _signature_task(task: tuple[Path, str, RunConfig]) -> np.ndarray | None:
-    """Load one network and return its signature for ``config.distance``, or
-    None for a network the dgcd13 matrix excludes. Tasks carry paths, so
-    only paths and signatures cross the worker pool."""
-    path, network_id, config = task
-    network = load_network(path, network_id=network_id)
+def _signature(network: DiffusionNetwork, *, config: RunConfig) -> np.ndarray | None:
+    """The network's signature for ``config.distance``, or None for a
+    network the dgcd13 matrix excludes."""
     if config.distance == "portrait":
         return portrait(network, undirected=config.portrait_undirected)
     if not config.include_large and network.n_nodes >= LARGE_NETWORK_THRESHOLD:
@@ -222,29 +240,16 @@ def _signature_task(task: tuple[Path, str, RunConfig]) -> np.ndarray | None:
     return network_correlations(network)
 
 
-def _map_tasks(fn, items, workers: int):
-    if workers == 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_distances(args: argparse.Namespace, config: RunConfig) -> int:
-    workers = worker_count()
-    manifest_path = Path(args.manifest)
-    entries = sorted(ds.read_manifest(manifest_path), key=lambda e: e.network_id)
-    paths = ds.resolve_manifest_paths(entries, base=manifest_path.parent)
-    tasks = [(path, entry.network_id, config) for path, entry in zip(paths, entries)]
-    results = _map_tasks(_signature_task, tasks, workers)
-
-    excluded = [e.network_id for e, sig in zip(entries, results) if sig is None]
+    measured, skipped = _measure_corpus(args.manifest, partial(_signature, config=config))
+    excluded = [e.network_id for e, sig in measured if sig is None]
     if excluded:
         print(
             f"excluded {len(excluded)} networks with >= {LARGE_NETWORK_THRESHOLD} nodes: "
             + ", ".join(excluded)
         )
-    ids = [e.network_id for e, sig in zip(entries, results) if sig is not None]
-    signatures = [sig for sig in results if sig is not None]
+    ids = [e.network_id for e, sig in measured if sig is not None]
+    signatures = [sig for _, sig in measured if sig is not None]
     if not signatures:
         raise DiffnetError("no networks left to compare")
 
@@ -252,7 +257,7 @@ def cmd_distances(args: argparse.Namespace, config: RunConfig) -> int:
     ds.write_distance_matrix(ids, matrix, args.out)
     m = len(ids)
     print(f"wrote {m}x{m} {config.distance} matrix -> {args.out}")
-    return EXIT_OK
+    return EXIT_PARTIAL if skipped else EXIT_OK
 
 
 # --- classify ---------------------------------------------------------------
@@ -499,8 +504,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         ("include_large", config.distance == "dgcd13", f"--which {config.distance}"),
         ("portrait_undirected", config.distance == "portrait", f"--which {config.distance}"),
         ("k", config.classifier != "lr", f"--classifier {config.classifier}"),
+        ("distances", config.classifier == "knn-distance", f"--classifier {config.classifier}"),
     ):
-        if name in given and not applies:
+        if given.get(name) is not None and not applies:
             raise ValueError(f"--{name.replace('_', '-')} has no effect with {mode}")
     return config
 

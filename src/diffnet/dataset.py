@@ -1,9 +1,9 @@
 """Corpus manifests, dataset assembly, and tabular I/O.
 
 The manifest is the corpus index: one row per network file with its label,
-bias and tweet count. ``select_corpus`` applies the corpus filters to its
-entries or to feature-table samples, ``resolve_manifest_paths`` finds the
-network files, and ``dataset_from_samples`` turns samples into a
+bias and tweet count; ``ManifestEntry.resolve_path`` finds its network
+file. ``select_corpus`` applies the corpus filters to its entries or to
+feature-table samples, and ``dataset_from_samples`` turns samples into a
 LabeledDataset.
 """
 
@@ -291,16 +291,6 @@ def distance_matrix(signatures: Sequence[np.ndarray], distance: str) -> np.ndarr
 
 
 # --- dataset assembly -------------------------------------------------------
-
-
-def resolve_manifest_paths(entries: Sequence[ManifestEntry], base: Path | None = None) -> list[Path]:
-    """Each entry's network file; unresolvable paths are reported together
-    in one error listing the offending ids."""
-    paths = [entry.resolve_path(base) for entry in entries]
-    bad = [entry.network_id for entry, p in zip(entries, paths) if not p.exists()]
-    if bad:
-        raise DatasetError(f"unresolvable network paths for ids: {', '.join(sorted(bad))}")
-    return paths
 
 
 def select_corpus(

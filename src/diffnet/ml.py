@@ -238,6 +238,8 @@ def stratified_shuffle_split(
     class, so test proportions stay within one sample of the global ones.
     """
     labels = np.asarray(labels)
+    if folds < 1:
+        raise ValueError("folds must be >= 1")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
     classes = np.unique(labels)

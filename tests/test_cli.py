@@ -266,17 +266,31 @@ def test_features_deterministic_table(built_networks, tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_features_skips_unreadable_network(built_networks, tmp_path, capsys):
-    bad_id = network_id_for_url(URL_A)
-    (built_networks / f"{bad_id}.edges").write_text("#directed\njust-one-token\n")
-    out = tmp_path / "features.csv"
+CORPUS_COMMANDS = {
+    "features": (["features"], lambda out: [s.network_id for s in read_feature_table(out)]),
+    "dgcd13": (["distances", "--which", "dgcd13"], lambda out: read_distance_matrix(out)[0]),
+    "portrait": (["distances", "--which", "portrait"], lambda out: read_distance_matrix(out)[0]),
+}
 
-    code = main(["features", str(built_networks / "manifest.csv"), "--out", str(out)])
+
+@pytest.mark.parametrize("damage", ["unreadable", "missing"])
+@pytest.mark.parametrize("command", list(CORPUS_COMMANDS))
+def test_features_skips_unreadable_network(built_networks, tmp_path, capsys, command, damage):
+    # features and both distances skip a network they cannot load, alike
+    argv, output_ids = CORPUS_COMMANDS[command]
+    bad_id = network_id_for_url(URL_A)
+    edges = built_networks / f"{bad_id}.edges"
+    if damage == "missing":
+        edges.unlink()
+    else:
+        edges.write_text("#directed\njust-one-token\n")
+    out = tmp_path / "out.csv"
+
+    code = main([argv[0], str(built_networks / "manifest.csv"), "--out", str(out), *argv[1:]])
 
     assert code == EXIT_PARTIAL
     assert f"warning: skipped {bad_id}:" in capsys.readouterr().err
-    samples = read_feature_table(out)
-    assert [s.network_id for s in samples] == [network_id_for_url(URL_B)]
+    assert output_ids(out) == [network_id_for_url(URL_B)]
 
 
 def test_features_missing_manifest_is_fatal(tmp_path, capsys):
@@ -337,14 +351,43 @@ def test_distances_worker_pool_matches_serial(tmp_path, monkeypatch):
         tmp_path,
         [make_network(*random_graph(rng, 12, 0.2), network_id=f"net-{i}") for i in range(4)],
     )
-    for which in ("dgcd13", "portrait"):
+    for command, (argv, _) in CORPUS_COMMANDS.items():
         outputs = []
         for workers in ("1", "2"):
             monkeypatch.setenv("DIFFNET_WORKERS", workers)
-            out = tmp_path / f"{which}-{workers}.csv"
-            assert main(["distances", str(manifest), "--out", str(out), "--which", which]) == EXIT_OK
+            out = tmp_path / f"{command}-{workers}.csv"
+            assert main([argv[0], str(manifest), "--out", str(out), *argv[1:]]) == EXIT_OK
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def test_pool_has_no_more_workers_than_networks(tmp_path, monkeypatch):
+    # a process pool starts all of its workers at once; this one starts none
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setenv("DIFFNET_WORKERS", "8")
+    manifest = write_corpus(
+        tmp_path, [make_network(3, [(0, 1), (1, 2)], network_id=f"net-{i}") for i in range(3)]
+    )
+    for command, (argv, output_ids) in CORPUS_COMMANDS.items():
+        out = tmp_path / f"{command}.csv"
+        assert main([argv[0], str(manifest), "--out", str(out), *argv[1:]]) == EXIT_OK
+        assert output_ids(out) == ["net-0", "net-1", "net-2"]
+    assert sizes == [3, 3, 3]
 
 
 def test_distances_excludes_large_networks_by_default(tmp_path, capsys):
@@ -497,7 +540,7 @@ def test_classify_distances_without_feature_ids_is_fatal(tmp_path, capsys):
 
     code = main(
         ["classify", "--features", str(ft), "--distances", str(dist),
-         "--out", str(tmp_path / "r.json")]
+         "--classifier", "knn-distance", "--out", str(tmp_path / "r.json")]
     )
 
     assert code == EXIT_FATAL
@@ -709,6 +752,8 @@ def test_classify_and_report_without_options_record_run_config_defaults(tmp_path
         ["distances", "m.csv", "--out", "d.csv", "--portrait-undirected"],  # dgcd13 by default
         ["classify", "--features", "x", "--out", "y", "--classifier", "lr", "--k", "5"],
         ["classify", "--features", "x", "--out", "y", "--k", "5"],  # lr by default
+        ["classify", "--features", "x", "--out", "y", "--classifier", "knn", "--distances", "d"],
+        ["classify", "--features", "x", "--out", "y", "--distances", "d"],  # lr by default
     ],
 )
 def test_invalid_options_exit_two(argv):
@@ -752,14 +797,15 @@ def test_distances_rejects_bad_worker_count(tmp_path, capsys, monkeypatch, bad):
         tmp_path, [make_network(3, [(0, 1), (1, 2)], network_id=f"net-{i}") for i in range(2)]
     )
     monkeypatch.setenv("DIFFNET_WORKERS", bad)
-    out = tmp_path / "d.csv"
+    for command in ("features", "distances"):
+        out = tmp_path / f"{command}.csv"
 
-    code = main(["distances", str(manifest), "--out", str(out)])
+        code = main([command, str(manifest), "--out", str(out)])
 
-    assert code == EXIT_FATAL
-    err = capsys.readouterr().err
-    assert "DIFFNET_WORKERS" in err and repr(bad) in err
-    assert not out.exists()
+        assert code == EXIT_FATAL
+        err = capsys.readouterr().err
+        assert "DIFFNET_WORKERS" in err and repr(bad) in err
+        assert not out.exists()
 
 
 def test_network_id_for_url_is_stable_and_filesystem_safe():

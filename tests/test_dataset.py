@@ -31,7 +31,7 @@ from diffnet import (
     write_feature_table,
     write_manifest,
 )
-from diffnet.dataset import resolve_manifest_paths, select_corpus
+from diffnet.dataset import select_corpus
 
 from util import make_network
 
@@ -468,8 +468,8 @@ def corpus_samples(manifest):
     """A sample per kept manifest entry, from its loaded network's features."""
     kept = kept_entries(manifest)
     samples = []
-    for entry, path in zip(kept, resolve_manifest_paths(kept, base=manifest.parent)):
-        network = load_network(path)
+    for entry in kept:
+        network = load_network(entry.resolve_path(manifest.parent))
         samples.append(Sample(entry.network_id, extract_features(network), entry.label,
                               entry.bias, network.n_nodes))
     return samples
@@ -506,14 +506,6 @@ def test_assemble_exclude_sources_substring(tmp_path):
     manifest, _ = write_corpus(tmp_path)
     kept = kept_entries(manifest, exclude_sources=("med", "lar"))
     assert [e.network_id for e in kept] == ["small"]
-
-
-def test_assemble_missing_file_lists_ids(tmp_path):
-    manifest, _ = write_corpus(tmp_path)
-    (tmp_path / "medium.edges").unlink()
-    (tmp_path / "small.edges").unlink()
-    with pytest.raises(DatasetError, match="medium, small"):
-        resolve_manifest_paths(read_manifest(manifest), base=tmp_path)
 
 
 def test_assemble_reindexes_distances(tmp_path):

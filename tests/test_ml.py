@@ -387,6 +387,9 @@ def test_split_bad_fraction_rejected():
     for bad in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError, match="test_fraction"):
             stratified_shuffle_split(labels, test_fraction=bad)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="folds must be >= 1"):
+            stratified_shuffle_split(labels, folds=bad)
 
 
 def test_split_proportions_within_one_sample():
