@@ -2,7 +2,8 @@
 
 Subcommands: build, features, distances, classify, generate, report.
 Every command is deterministic given its inputs and seed. Exit codes:
-0 = success, 1 = fatal error, 2 = completed with skipped items.
+0 = success, 1 = fatal error, 2 = a usage error, refused before any
+command runs, or a command that completed with skipped items.
 
 The DIFFNET_WORKERS environment variable sets the process pool size with
 which ``features`` and ``distances`` measure the networks of a manifest
@@ -47,6 +48,7 @@ from .ml import (
     ConvergenceWarning,
     EvalConfig,
     LogisticConfig,
+    Sample,
     evaluate,
     feature_ks_tests,
 )
@@ -200,7 +202,8 @@ def _measure(task):
 def _measure_corpus(manifest: str, fn) -> tuple[list, bool]:
     """``(entry, fn(network))`` for every network of the manifest, in
     network_id order, on a pool of DIFFNET_WORKERS processes (in this one
-    when 1), and whether any network was skipped with a warning."""
+    when 1), and whether any network was skipped with a warning. A pass
+    that measures no network is an error."""
     manifest_path = Path(manifest)
     entries = sorted(ds.read_manifest(manifest_path), key=lambda e: e.network_id)
     tasks = [(fn, e.resolve_path(manifest_path.parent), e.network_id) for e in entries]
@@ -214,6 +217,8 @@ def _measure_corpus(manifest: str, fn) -> tuple[list, bool]:
         if error is not None:
             print(f"warning: skipped {entry.network_id}: {error}", file=sys.stderr)
     measured = [(e, result) for e, (result, error) in zip(entries, results) if error is None]
+    if not measured:
+        raise DiffnetError(f"no network of {manifest} could be measured")
     return measured, len(measured) < len(entries)
 
 
@@ -224,9 +229,9 @@ def _features(network: DiffusionNetwork, *, clustering: ClusteringVariant):
 def cmd_features(args: argparse.Namespace, config: RunConfig) -> int:
     features = partial(_features, clustering=config.clustering)
     measured, skipped = _measure_corpus(args.manifest, features)
-    rows = [(e.network_id, e.label, e.bias, n_nodes, fv) for e, (n_nodes, fv) in measured]
-    ds.write_feature_table(rows, args.out)
-    print(f"wrote {len(rows)} feature rows -> {args.out}")
+    samples = [Sample(e.network_id, fv, e.label, e.bias, n) for e, (n, fv) in measured]
+    ds.write_feature_table(samples, args.out)
+    print(f"wrote {len(samples)} feature rows -> {args.out}")
     return EXIT_PARTIAL if skipped else EXIT_OK
 
 
@@ -279,7 +284,7 @@ def _filtered_samples(args: argparse.Namespace, config: RunConfig):
         samples,
         tweet_counts,
         min_tweets=config.min_tweets,
-        bias_filter=frozenset(Bias(b) for b in args.bias) if args.bias else None,
+        bias_filter=frozenset(args.bias) if args.bias else None,
         exclude_sources=args.exclude_source,
     )
 
@@ -303,8 +308,6 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
                 file=sys.stderr,
             )
             samples = [s for s in samples if s.network_id in matrix_ids]
-    if config.classifier == "knn-distance" and distances is None:
-        raise DiffnetError("classifier knn-distance requires --distances")
     dataset = ds.dataset_from_samples(samples, distances=distances)
 
     eval_config = EvalConfig(
@@ -346,18 +349,15 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_generate(args: argparse.Namespace, config: RunConfig) -> int:
-    if args.count < 1:
-        raise DiffnetError("--count must be >= 1")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    profile = ClassProfile(args.profile)
     networks = generate_ensemble(
-        profile, config.bucket, count=args.count, seed=config.seed
+        args.profile, config.bucket, count=args.count, seed=config.seed
     )
     manifest_path = _write_corpus(out_dir, networks)
     sizes = sorted(len(n.nodes) for n in networks)
     print(
-        f"generated {len(networks)} {profile.value} networks "
+        f"generated {len(networks)} {args.profile.value} networks "
         f"(nodes {sizes[0]}..{sizes[-1]}) -> {manifest_path}"
     )
     return EXIT_OK
@@ -416,19 +416,6 @@ def _enum_option(enum: type[Enum]) -> dict:
     return {"type": enum, "choices": list(enum), "metavar": metavar}
 
 
-_SHARED_OPTIONS = {
-    "--seed": {"type": int},
-    "--bucket": _enum_option(SizeBucket),
-    "--min-tweets": {"type": int},
-}
-
-
-def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
-    """Register the named shared options; each subcommand takes only those it reads."""
-    for flag in flags:
-        parser.add_argument(flag, **_SHARED_OPTIONS[flag])
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Options that ``RunConfig`` holds have no default here: an option not
     given is left out of the parsed arguments and takes its ``RunConfig``
@@ -443,11 +430,21 @@ def build_parser() -> argparse.ArgumentParser:
         parser_class=partial(argparse.ArgumentParser, argument_default=argparse.SUPPRESS),
     )
 
+    # classify and report select their samples from a feature table alike
+    samples = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    samples.add_argument("--features", required=True)
+    samples.add_argument("--manifest", default=None)
+    samples.add_argument("--out", required=True)
+    samples.add_argument("--bias", action="append", default=None, **_enum_option(Bias))
+    samples.add_argument("--exclude-source", action="append", default=[])
+    samples.add_argument("--bucket", **_enum_option(SizeBucket))
+    samples.add_argument("--min-tweets", type=int)
+
     p = sub.add_parser("build", help="build networks from an interaction event file")
     p.add_argument("events_file")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--direction", **_enum_option(EdgeDirection))
-    _add_shared(p, "--min-tweets")
+    p.add_argument("--min-tweets", type=int)
 
     p = sub.add_parser("features", help="compute the seven-feature table for a manifest")
     p.add_argument("manifest")
@@ -461,44 +458,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-large", action="store_true")
     p.add_argument("--portrait-undirected", action="store_true")
 
-    p = sub.add_parser("classify", help="cross-validated classification from a feature table")
-    p.add_argument("--features", required=True)
+    p = sub.add_parser(
+        "classify", parents=[samples], help="cross-validated classification from a feature table"
+    )
     p.add_argument("--distances", default=None)
-    p.add_argument("--manifest", default=None)
-    p.add_argument("--out", required=True)
     p.add_argument("--roc-out", default=None)
     p.add_argument("--classifier", choices=["lr", "knn", "knn-distance"])
     p.add_argument("--k", type=int)
     p.add_argument("--folds", type=int)
     p.add_argument("--test-fraction", type=float)
-    p.add_argument("--bias", action="append", choices=[b.value for b in Bias], default=None)
-    p.add_argument("--exclude-source", action="append", default=[])
-    _add_shared(p, "--seed", "--bucket", "--min-tweets")
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("generate", help="generate a synthetic labeled ensemble")
-    p.add_argument("--profile", choices=[c.value for c in ClassProfile], required=True)
+    p.add_argument("--profile", required=True, **_enum_option(ClassProfile))
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out-dir", required=True)
-    _add_shared(p, "--seed", "--bucket")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--bucket", **_enum_option(SizeBucket))
 
-    p = sub.add_parser("report", help="per-feature class comparison (KS tests, box-plot data)")
-    p.add_argument("--features", required=True)
-    p.add_argument("--manifest", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--bias", action="append", choices=[b.value for b in Bias], default=None)
-    p.add_argument("--exclude-source", action="append", default=[])
-    _add_shared(p, "--bucket", "--min-tweets")
-
+    sub.add_parser(
+        "report", parents=[samples], help="per-feature class comparison (KS tests, box-plot data)"
+    )
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The run's options; a ValueError names the usage rule that they break."""
+    given = vars(args)
     # classify and report read tweet counts from an optional --manifest;
     # build has no such option, it counts the tweets of its own events
-    if hasattr(args, "min_tweets") and getattr(args, "manifest", "") is None:
+    if "min_tweets" in given and given.get("manifest", "") is None:
         raise ValueError("--min-tweets needs --manifest, which holds the tweet counts")
-    given = vars(args)
+    if given.get("count", 1) < 1:
+        raise ValueError("--count must be >= 1")
     config = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
+    if config.subcommand == "generate" and config.bucket is SizeBucket.D_ALL:
+        raise ValueError("generate needs --bucket 0-100, 100-1000 or 1000+")
+    if config.classifier == "knn-distance" and given.get("distances") is None:
+        raise ValueError("--classifier knn-distance needs --distances, the matrix it reads")
     # an option the chosen mode never reads is refused, not ignored
     for name, applies, mode in (
         ("include_large", config.distance == "dgcd13", f"--which {config.distance}"),

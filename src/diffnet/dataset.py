@@ -147,17 +147,16 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
 # --- feature tables ---------------------------------------------------------
 
 
-def write_feature_table(
-    rows: Sequence[tuple[str, Label, Bias, int, FeatureVector]], path: str | Path
-) -> None:
-    """CSV with one row per network in the fixed seven-feature order."""
+def write_feature_table(samples: Sequence[Sample], path: str | Path) -> None:
+    """CSV with one row per network, in network_id order, in the fixed
+    seven-feature order."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FEATURE_TABLE_COLUMNS)
-        for network_id, label, bias, n_nodes, fv in sorted(rows, key=lambda r: r[0]):
+        for s in sorted(samples, key=lambda s: s.network_id):
             writer.writerow(
-                [network_id, label.value, bias.value, n_nodes]
-                + [repr(float(v)) for v in fv.to_array()]
+                [s.network_id, s.label.value, s.bias.value, s.n_nodes]
+                + [repr(float(v)) for v in s.features.to_array()]
             )
 
 

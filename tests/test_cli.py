@@ -6,7 +6,10 @@ and no subprocess startup cost is paid.
 
 from __future__ import annotations
 
+import argparse
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from diffnet import (
     Label,
     LogisticConfig,
     ManifestEntry,
+    Sample,
     read_distance_matrix,
     read_feature_table,
     read_manifest,
@@ -85,15 +89,15 @@ def feature_row(rng, positive):
 
 def write_labeled_table(path, n_per_class=25, seed=0, n_nodes=60):
     rng = np.random.default_rng(seed)
-    rows = [
-        (f"main-{i:03d}", Label.MAINSTREAM, Bias.LEFT, n_nodes, feature_row(rng, False))
+    samples = [
+        Sample(f"main-{i:03d}", feature_row(rng, False), Label.MAINSTREAM, Bias.LEFT, n_nodes)
         for i in range(n_per_class)
     ] + [
-        (f"disinfo-{i:03d}", Label.DISINFORMATION, Bias.RIGHT, n_nodes, feature_row(rng, True))
+        Sample(f"disinfo-{i:03d}", feature_row(rng, True), Label.DISINFORMATION, Bias.RIGHT, n_nodes)
         for i in range(n_per_class)
     ]
-    write_feature_table(rows, path)
-    return rows
+    write_feature_table(samples, path)
+    return samples
 
 
 # --- build ------------------------------------------------------------------
@@ -291,6 +295,26 @@ def test_features_skips_unreadable_network(built_networks, tmp_path, capsys, com
     assert code == EXIT_PARTIAL
     assert f"warning: skipped {bad_id}:" in capsys.readouterr().err
     assert output_ids(out) == [network_id_for_url(URL_B)]
+
+
+@pytest.mark.parametrize("corpus", ["all-missing", "empty-manifest"])
+@pytest.mark.parametrize("command", list(CORPUS_COMMANDS))
+def test_corpus_pass_that_measures_nothing_is_fatal(built_networks, tmp_path, capsys, command, corpus):
+    # features and both distances end alike when no network is measured
+    argv, _ = CORPUS_COMMANDS[command]
+    manifest = built_networks / "manifest.csv"
+    if corpus == "empty-manifest":
+        write_manifest([], manifest)
+    else:
+        for edges in built_networks.glob("*.edges"):
+            edges.unlink()
+    out = tmp_path / "out.csv"
+
+    code = main([argv[0], str(manifest), "--out", str(out), *argv[1:]])
+
+    assert code == EXIT_FATAL
+    assert f"error: no network of {manifest} could be measured" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_features_missing_manifest_is_fatal(tmp_path, capsys):
@@ -500,24 +524,11 @@ def test_classify_k_exceeding_training_fold_is_fatal(tmp_path, capsys):
     assert "fold 0" in capsys.readouterr().err
 
 
-def test_classify_knn_distance_requires_matrix(tmp_path, capsys):
-    ft = tmp_path / "features.csv"
-    write_labeled_table(ft)
-
-    code = main(
-        ["classify", "--features", str(ft), "--out", str(tmp_path / "r.json"),
-         "--classifier", "knn-distance"]
-    )
-
-    assert code == EXIT_FATAL
-    assert "error: classifier knn-distance requires --distances" in capsys.readouterr().err
-
-
 def test_classify_knn_distance_with_matrix(tmp_path):
     ft = tmp_path / "features.csv"
-    rows = sorted(write_labeled_table(ft), key=lambda r: r[0])
-    ids = [r[0] for r in rows]
-    cc = np.array([r[4].cc for r in rows])
+    samples = sorted(write_labeled_table(ft), key=lambda s: s.network_id)
+    ids = [s.network_id for s in samples]
+    cc = np.array([s.features.cc for s in samples])
     dist = tmp_path / "dist.csv"
     write_distance_matrix(ids, np.abs(cc[:, None] - cc[None, :]), dist)
     out = tmp_path / "report.json"
@@ -549,10 +560,10 @@ def test_classify_distances_without_feature_ids_is_fatal(tmp_path, capsys):
 
 def test_classify_names_feature_ids_the_matrix_lacks(tmp_path, capsys):
     ft = tmp_path / "features.csv"
-    rows = sorted(write_labeled_table(ft), key=lambda r: r[0])
-    kept = [r for r in rows if r[0] not in ("disinfo-003", "main-017")]
-    ids = [r[0] for r in kept]
-    cc = np.array([r[4].cc for r in kept])
+    samples = sorted(write_labeled_table(ft), key=lambda s: s.network_id)
+    kept = [s for s in samples if s.network_id not in ("disinfo-003", "main-017")]
+    ids = [s.network_id for s in kept]
+    cc = np.array([s.features.cc for s in kept])
     dist = tmp_path / "dist.csv"
     write_distance_matrix(ids, np.abs(cc[:, None] - cc[None, :]), dist)
     kept_ft = tmp_path / "kept.csv"
@@ -569,11 +580,14 @@ def test_classify_names_feature_ids_the_matrix_lacks(tmp_path, capsys):
 
 def test_classify_with_distances_and_no_labeled_rows_names_the_empty_bucket(tmp_path, capsys):
     rng = np.random.default_rng(1)
-    rows = [(f"u-{i}", Label.UNLABELED, Bias.NONE, 50, feature_row(rng, i % 2 == 0)) for i in range(4)]
+    samples = [
+        Sample(f"u-{i}", feature_row(rng, i % 2 == 0), Label.UNLABELED, Bias.NONE, 50)
+        for i in range(4)
+    ]
     ft = tmp_path / "features.csv"
-    write_feature_table(rows, ft)
+    write_feature_table(samples, ft)
     dist = tmp_path / "dist.csv"
-    write_distance_matrix([r[0] for r in rows], 1.0 - np.eye(4), dist)
+    write_distance_matrix([s.network_id for s in samples], 1.0 - np.eye(4), dist)
     argv = ["classify", "--features", str(ft), "--out", str(tmp_path / "r.json")]
 
     assert main(argv + ["--distances", str(dist), "--classifier", "knn-distance"]) == EXIT_FATAL
@@ -626,13 +640,6 @@ def test_generate_deterministic_ensemble(tmp_path, capsys):
     assert (g1 / f"{nid}.edges").read_bytes() == (g2 / f"{nid}.edges").read_bytes()
 
 
-def test_generate_rejects_bad_count(tmp_path, capsys):
-    code = main(["generate", "--profile", "clustered_like", "--count", "0",
-                 "--out-dir", str(tmp_path / "g")])
-    assert code == EXIT_FATAL
-    assert "error: --count must be >= 1" in capsys.readouterr().err
-
-
 # --- report -----------------------------------------------------------------
 
 
@@ -661,18 +668,25 @@ def test_report_schema(tmp_path, capsys):
 
 def test_report_filters(tmp_path):
     rng = np.random.default_rng(5)
-    rows = (
-        [(f"site1-m-{i}", Label.MAINSTREAM, Bias.LEFT, 50, feature_row(rng, False)) for i in range(10)]
-        + [(f"site1-d-{i}", Label.DISINFORMATION, Bias.RIGHT, 50, feature_row(rng, True)) for i in range(10)]
-        + [(f"site2-m-{i}", Label.MAINSTREAM, Bias.CENTRE, 500, feature_row(rng, False)) for i in range(5)]
-        + [(f"site2-d-{i}", Label.DISINFORMATION, Bias.SATIRE, 500, feature_row(rng, True)) for i in range(5)]
-    )
+    samples = [
+        Sample(f"{site}-{i}", feature_row(rng, label is Label.DISINFORMATION), label, bias, n_nodes)
+        for site, label, bias, n_nodes, count in (
+            ("site1-m", Label.MAINSTREAM, Bias.LEFT, 50, 10),
+            ("site1-d", Label.DISINFORMATION, Bias.RIGHT, 50, 10),
+            ("site2-m", Label.MAINSTREAM, Bias.CENTRE, 500, 5),
+            ("site2-d", Label.DISINFORMATION, Bias.SATIRE, 500, 5),
+        )
+        for i in range(count)
+    ]
     ft = tmp_path / "features.csv"
-    write_feature_table(rows, ft)
+    write_feature_table(samples, ft)
     write_manifest(
         [
-            ManifestEntry(r[0], f"{r[0]}.edges", r[1], r[2], 100 if r[3] == 50 else 30, r[3])
-            for r in rows
+            ManifestEntry(
+                s.network_id, f"{s.network_id}.edges", s.label, s.bias,
+                100 if s.n_nodes == 50 else 30, s.n_nodes,
+            )
+            for s in samples
         ],
         tmp_path / "manifest.csv",
     )
@@ -692,9 +706,11 @@ def test_report_filters(tmp_path):
 
 def test_report_single_class_is_fatal(tmp_path, capsys):
     rng = np.random.default_rng(0)
-    rows = [(f"m-{i}", Label.MAINSTREAM, Bias.NONE, 50, feature_row(rng, False)) for i in range(8)]
+    samples = [
+        Sample(f"m-{i}", feature_row(rng, False), Label.MAINSTREAM, Bias.NONE, 50) for i in range(8)
+    ]
     ft = tmp_path / "features.csv"
-    write_feature_table(rows, ft)
+    write_feature_table(samples, ft)
 
     code = main(["report", "--features", str(ft), "--out", str(tmp_path / "r.json")])
 
@@ -754,14 +770,24 @@ def test_classify_and_report_without_options_record_run_config_defaults(tmp_path
         ["classify", "--features", "x", "--out", "y", "--k", "5"],  # lr by default
         ["classify", "--features", "x", "--out", "y", "--classifier", "knn", "--distances", "d"],
         ["classify", "--features", "x", "--out", "y", "--distances", "d"],  # lr by default
+        # options the chosen mode needs
+        ["classify", "--features", "x", "--out", "y", "--classifier", "knn-distance"],
+        ["generate", "--profile", "clustered_like", "--count", "0", "--out-dir", "g",
+         "--bucket", "0-100"],
+        ["generate", "--profile", "broadcast_like", "--count", "2", "--out-dir", "g"],  # all
+        ["generate", "--profile", "broadcast_like", "--count", "2", "--out-dir", "g",
+         "--bucket", "all"],
     ],
 )
-def test_invalid_options_exit_two(argv):
-    # argparse rejects bad values, and options the subcommand does not read,
-    # before any command code runs
+def test_invalid_options_exit_two(argv, tmp_path, monkeypatch, capsys):
+    # argparse and config_from_args refuse bad values, options the subcommand
+    # does not read and options its mode needs, before any command code runs
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -771,13 +797,48 @@ def test_invalid_options_exit_two(argv):
         (["distances", "m.csv", "--out", "d.csv", "--which", "portrait", "--portrait-undirected"],
          "portrait_undirected"),
         (["classify", "--features", "x", "--out", "y", "--classifier", "knn", "--k", "5"], "k"),
-        (["classify", "--features", "x", "--out", "y", "--classifier", "knn-distance", "--k", "5"],
-         "k"),
+        (["classify", "--features", "x", "--out", "y", "--classifier", "knn-distance",
+          "--distances", "d", "--k", "5"], "k"),
     ],
 )
 def test_options_pass_with_the_mode_that_reads_them(argv, name):
     config = cli.config_from_args(cli.build_parser().parse_args(argv))
     assert getattr(config, name) == (5 if name == "k" else True)
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    (subcommands,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {
+        name: {s for a in p._actions for s in a.option_strings or [a.dest]} - {"-h", "--help"}
+        for name, p in subcommands.choices.items()
+    }
+    assert options == {
+        "build": {"events_file", "--out-dir", "--direction", "--min-tweets"},
+        "features": {"manifest", "--out", "--clustering"},
+        "distances": {"manifest", "--out", "--which", "--include-large", "--portrait-undirected"},
+        "classify": {
+            "--features", "--distances", "--manifest", "--out", "--roc-out", "--classifier",
+            "--k", "--folds", "--test-fraction", "--bias", "--exclude-source", "--seed",
+            "--bucket", "--min-tweets",
+        },
+        "generate": {"--profile", "--count", "--out-dir", "--seed", "--bucket"},
+        "report": {
+            "--features", "--manifest", "--out", "--bias", "--exclude-source", "--bucket",
+            "--min-tweets",
+        },
+    }
+
+
+def test_readme_command_lines_are_valid():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("diffnet ")]
+    assert {argv[0] for argv in commands} == set(cli._COMMANDS)
+    for argv in commands:
+        assert cli.config_from_args(cli.build_parser().parse_args(argv)).subcommand == argv[0]
 
 
 def test_worker_count_env(monkeypatch):

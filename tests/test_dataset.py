@@ -124,17 +124,17 @@ def test_feature_table_roundtrip(tmp_path):
         "w": make_network(3, [(0, 1), (1, 2), (2, 0)], network_id="w"),
         "v": make_network(4, [(0, 1), (2, 3)], network_id="v"),
     }
-    rows = [
-        (nid, Label.MAINSTREAM if nid == "v" else Label.DISINFORMATION, Bias.NONE,
-         net.n_nodes, extract_features(net))
+    written = [
+        Sample(nid, extract_features(net),
+               Label.MAINSTREAM if nid == "v" else Label.DISINFORMATION, Bias.NONE, net.n_nodes)
         for nid, net in nets.items()
     ]
     path = tmp_path / "features.csv"
-    write_feature_table(rows, path)
+    write_feature_table(written, path)
     header = path.read_text().splitlines()[0]
     assert header == "network_id,label,bias,n_nodes,scc,lscc,wcc,lwcc,dwcc,cc,kc"
     samples = read_feature_table(path)
-    assert [s.network_id for s in samples] == ["v", "w"]  # sorted on write
+    assert samples == sorted(written, key=lambda s: s.network_id)  # sorted on write
     by_id = {s.network_id: s for s in samples}
     assert by_id["w"].features == extract_features(nets["w"])
     assert by_id["w"].label is Label.DISINFORMATION
