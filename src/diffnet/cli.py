@@ -81,13 +81,15 @@ class RunConfig:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise ValueError("--k must be >= 1")
         if self.folds < 1:
-            raise ValueError("folds must be >= 1")
+            raise ValueError("--folds must be >= 1")
         if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must be in (0, 1)")
+            raise ValueError("--test-fraction must be in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("--seed must be >= 0")
         if self.min_tweets < 0:
-            raise ValueError("min_tweets must be >= 0")
+            raise ValueError("--min-tweets must be >= 0")
 
     def provenance(self) -> dict:
         """Every option but the subcommand, enums written as their values."""
@@ -268,10 +270,12 @@ def cmd_distances(args: argparse.Namespace, config: RunConfig) -> int:
 # --- classify ---------------------------------------------------------------
 
 
-def _filtered_samples(args: argparse.Namespace, config: RunConfig):
-    """The feature-table samples that pass the corpus filters; the tweet-count
-    filter applies only when a manifest is given."""
-    samples = ds.read_feature_table(args.features)
+def _filtered_samples(args: argparse.Namespace, config: RunConfig) -> list[Sample]:
+    """The feature-table samples of ``config.bucket`` that pass the other
+    corpus filters; the tweet-count filter applies only when a manifest is
+    given, which must then hold every sample of the bucket. Selecting no
+    sample is an error."""
+    samples = [s for s in ds.read_feature_table(args.features) if config.bucket.contains(s.n_nodes)]
     tweet_counts = None
     if args.manifest:
         tweet_counts = {e.network_id: e.tweet_count for e in ds.read_manifest(Path(args.manifest))}
@@ -280,13 +284,16 @@ def _filtered_samples(args: argparse.Namespace, config: RunConfig):
             raise DiffnetError(
                 f"manifest lacks feature-table ids: {', '.join(sorted(missing))}"
             )
-    return ds.select_corpus(
+    selected = ds.select_corpus(
         samples,
         tweet_counts,
         min_tweets=config.min_tweets,
         bias_filter=frozenset(args.bias) if args.bias else None,
         exclude_sources=args.exclude_source,
     )
+    if not selected:
+        raise DiffnetError(f"no samples in bucket {config.bucket.value}")
+    return selected
 
 
 def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
@@ -320,11 +327,12 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ConvergenceWarning)
-        report = evaluate(dataset, eval_config, bucket=config.bucket)
+        report = evaluate(dataset, eval_config)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     payload = report.to_dict()
     payload["config"].update(config.provenance())
+    payload["bucket"] = config.bucket.value
 
     out = Path(args.out)
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -378,7 +386,7 @@ def _five_number(values: np.ndarray) -> dict:
 
 
 def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
-    samples = [s for s in _filtered_samples(args, config) if config.bucket.contains(s.n_nodes)]
+    samples = _filtered_samples(args, config)
     dataset = ds.dataset_from_samples(samples)
     x = dataset.feature_matrix()
     y = dataset.label_vector()
@@ -410,10 +418,19 @@ def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
 # --- argument parsing -------------------------------------------------------
 
 
-def _enum_option(enum: type[Enum]) -> dict:
-    """Parse an option straight to a member of ``enum``, listing its values."""
-    metavar = "{" + ",".join(e.value for e in enum) + "}"
-    return {"type": enum, "choices": list(enum), "metavar": metavar}
+def _enum_option(members) -> dict:
+    """Parse an option straight to one of the enum ``members``; its metavar
+    and its error list their values."""
+    by_value = {m.value: m for m in members}
+
+    def member(text: str) -> Enum:
+        if text not in by_value:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {text!r} (choose from {', '.join(by_value)})"
+            )
+        return by_value[text]
+
+    return {"type": member, "metavar": "{" + ",".join(by_value) + "}"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--bucket", **_enum_option(SizeBucket))
+    concrete = [b for b in SizeBucket if b is not SizeBucket.D_ALL]
+    p.add_argument("--bucket", required=True, **_enum_option(concrete))
 
     sub.add_parser(
         "report", parents=[samples], help="per-feature class comparison (KS tests, box-plot data)"
@@ -492,8 +510,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if given.get("count", 1) < 1:
         raise ValueError("--count must be >= 1")
     config = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
-    if config.subcommand == "generate" and config.bucket is SizeBucket.D_ALL:
-        raise ValueError("generate needs --bucket 0-100, 100-1000 or 1000+")
     if config.classifier == "knn-distance" and given.get("distances") is None:
         raise ValueError("--classifier knn-distance needs --distances, the matrix it reads")
     # an option the chosen mode never reads is refused, not ignored
@@ -518,13 +534,21 @@ _COMMANDS = {
 }
 
 
+def _subcommand_parser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subcommands.choices[name]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unrecognized = parser.parse_known_args(argv)
     try:
+        if unrecognized:
+            raise ValueError(f"unrecognized arguments: {' '.join(unrecognized)}")
         config = config_from_args(args)
     except ValueError as exc:
-        parser.error(str(exc))
+        # a usage error prints the usage line of the subcommand it is in
+        _subcommand_parser(parser, args.subcommand).error(str(exc))
     try:
         return _COMMANDS[args.subcommand](args, config)
     except (DiffnetError, OSError, ValueError) as exc:

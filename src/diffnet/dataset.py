@@ -55,6 +55,13 @@ def _check_number_cells(cells: Sequence[str | None], path: Path, line_no: int) -
         raise FileFormatError(f"not a plain number: {bad!r}", path=path, line_no=line_no)
 
 
+def _check_counts(counts: Mapping[str, int | None], path: Path, line_no: int) -> None:
+    """Raise :class:`FileFormatError` at ``line_no`` when a count is negative."""
+    for name, value in counts.items():
+        if value is not None and value < 0:
+            raise FileFormatError(f"negative {name}: {value}", path=path, line_no=line_no)
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     network_id: str
@@ -129,18 +136,18 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
         n_nodes_raw = row.get("n_nodes") or ""
         _check_number_cells((row["tweet_count"], n_nodes_raw), path, line_no)
         try:
-            entries.append(
-                ManifestEntry(
-                    network_id=row["network_id"],
-                    path=row["path"],
-                    label=Label(row["label"]),
-                    bias=Bias(row["bias"]),
-                    tweet_count=int(row["tweet_count"]),
-                    n_nodes=int(n_nodes_raw) if n_nodes_raw else None,
-                )
+            entry = ManifestEntry(
+                network_id=row["network_id"],
+                path=row["path"],
+                label=Label(row["label"]),
+                bias=Bias(row["bias"]),
+                tweet_count=int(row["tweet_count"]),
+                n_nodes=int(n_nodes_raw) if n_nodes_raw else None,
             )
         except (KeyError, ValueError) as exc:
             raise FileFormatError(f"bad manifest row: {exc}", path=path, line_no=line_no)
+        _check_counts({"tweet_count": entry.tweet_count, "n_nodes": entry.n_nodes}, path, line_no)
+        entries.append(entry)
     return entries
 
 
@@ -180,6 +187,7 @@ def read_feature_table(path: str | Path) -> list[Sample]:
             )
         except (KeyError, ValueError) as exc:
             raise FileFormatError(f"bad feature row: {exc}", path=path, line_no=line_no)
+        _check_counts({"n_nodes": n_nodes}, path, line_no)
         for name, value in zip(FEATURE_NAMES, values):
             if not math.isfinite(value):
                 raise FileFormatError(f"non-finite {name}: {row[name]!r}", path=path, line_no=line_no)

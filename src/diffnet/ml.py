@@ -367,16 +367,11 @@ class LabeledDataset:
                 raise ValueError("distance matrix must be symmetric")
             self.distances = d
 
-    def bucket_indices(self, bucket: SizeBucket) -> np.ndarray:
-        return np.array(
-            [i for i, s in enumerate(self.samples) if bucket.contains(s.n_nodes)], dtype=int
-        )
-
     def feature_matrix(self) -> np.ndarray:
         return np.vstack([s.features.to_array() for s in self.samples])
 
     def label_vector(self) -> np.ndarray:
-        return np.array([1 if s.label is POSITIVE_LABEL else 0 for s in self.samples])
+        return np.array([1 if s.label is POSITIVE_LABEL else 0 for s in self.samples], dtype=int)
 
 
 @dataclass(frozen=True)
@@ -410,7 +405,6 @@ class ClassificationReport:
     folds: list[FoldMetrics]
     pooled_auc: float
     config: dict
-    bucket: str
     n_samples: int
 
     def mean(self, metric: str) -> float:
@@ -423,7 +417,6 @@ class ClassificationReport:
         metrics = ("auc", "precision", "recall", "f1")
         return {
             "config": self.config,
-            "bucket": self.bucket,
             "n_samples": self.n_samples,
             "folds": [
                 {
@@ -481,30 +474,26 @@ def _fold_scores(
     return knn_predict_from_distances(block, y[train], config.k)
 
 
-def evaluate(dataset: LabeledDataset, config: EvalConfig, bucket: SizeBucket = SizeBucket.D_ALL) -> ClassificationReport:
-    """Full cross-validated evaluation restricted to one size bucket."""
+def evaluate(dataset: LabeledDataset, config: EvalConfig) -> ClassificationReport:
+    """Full cross-validated evaluation of every sample of ``dataset``."""
     if config.classifier not in ("lr", "knn", "knn-distance"):
         raise ValueError(f"unknown classifier {config.classifier!r}")
     if config.classifier == "knn-distance" and dataset.distances is None:
         raise ValueError("knn-distance requires a dataset with a distance matrix")
-    idx = dataset.bucket_indices(bucket)
-    if len(idx) == 0:
-        raise ValueError(f"no samples in bucket {bucket.value}")
-    x = dataset.feature_matrix()
     y = dataset.label_vector()
-    for cls, count in enumerate(np.bincount(y[idx], minlength=2)):
+    for cls, count in enumerate(np.bincount(y, minlength=2)):
         if count < 20:
-            raise ValueError(f"bucket {bucket.value}: class {cls} has {count} samples, need >= 20")
+            raise ValueError(f"class {cls} has {count} samples, need >= 20")
+    x = dataset.feature_matrix()
 
-    splits = stratified_shuffle_split(y[idx], folds=config.folds, test_fraction=config.test_fraction, seed=config.seed)
+    splits = stratified_shuffle_split(y, folds=config.folds, test_fraction=config.test_fraction, seed=config.seed)
     n_train = len(splits[0][0])  # the same in every fold
     if config.classifier != "lr" and config.k > n_train:
         raise ValueError(f"fold 0: k={config.k} exceeds training size {n_train}")
     folds = []
     pooled_scores, pooled_labels = [], []
-    for train_idx, test_idx in splits:
-        test = idx[test_idx]
-        scores = _fold_scores(x, y, dataset.distances, idx[train_idx], test, config)
+    for train, test in splits:
+        scores = _fold_scores(x, y, dataset.distances, train, test, config)
         roc = roc_auc(scores, y[test])
         precision, recall, f1 = threshold_metrics(scores, y[test], config.threshold)
         folds.append(FoldMetrics(auc=roc.auc, precision=precision, recall=recall, f1=f1, roc=roc))
@@ -515,6 +504,5 @@ def evaluate(dataset: LabeledDataset, config: EvalConfig, bucket: SizeBucket = S
         folds=folds,
         pooled_auc=pooled.auc,
         config=config.to_dict(),
-        bucket=bucket.value,
-        n_samples=len(idx),
+        n_samples=len(y),
     )

@@ -596,6 +596,49 @@ def test_classify_with_distances_and_no_labeled_rows_names_the_empty_bucket(tmp_
     assert with_matrix == capsys.readouterr().err == "error: no samples in bucket all\n"
 
 
+@pytest.mark.parametrize("subcommand", ["classify", "report"])
+@pytest.mark.parametrize(
+    "options, bucket", [(["--bucket", "1000+"], "1000+"), (["--exclude-source", ""], "all")]
+)
+def test_a_selection_of_no_samples_names_the_bucket(tmp_path, capsys, subcommand, options, bucket):
+    ft = tmp_path / "features.csv"
+    write_labeled_table(ft)  # 50 networks of 60 nodes
+    out = tmp_path / "r.json"
+
+    assert main([subcommand, "--features", str(ft), "--out", str(out)] + options) == EXIT_FATAL
+    assert capsys.readouterr().err == f"error: no samples in bucket {bucket}\n"
+    assert not out.exists()
+
+
+def test_classify_checks_matrix_and_manifest_only_for_the_selected_bucket(tmp_path, capsys):
+    rng = np.random.default_rng(2)
+    small = write_labeled_table(tmp_path / "small.csv")  # 60 nodes: bucket 0-100
+    large = [
+        Sample(f"large-{i}", feature_row(rng, i % 2 == 0), Label.MAINSTREAM, Bias.NONE, 500)
+        for i in range(10)
+    ]
+    ft = tmp_path / "features.csv"
+    write_feature_table(small + large, ft)
+    # the matrix and the manifest lack every 100-1000 id
+    ids = sorted(s.network_id for s in small)
+    dist = tmp_path / "dist.csv"
+    write_distance_matrix(ids, 1.0 - np.eye(len(ids)), dist)
+    manifest = tmp_path / "manifest.csv"
+    write_manifest(
+        [ManifestEntry(s.network_id, "x.edges", s.label, s.bias, 60, None) for s in small], manifest
+    )
+    argv = ["classify", "--distances", str(dist), "--classifier", "knn-distance", "--k", "5",
+            "--bucket", "0-100", "--manifest", str(manifest)]
+
+    assert main(argv + ["--features", str(ft), "--out", str(tmp_path / "r.json")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    payload = json.loads((tmp_path / "r.json").read_text())
+    assert (payload["bucket"], payload["n_samples"]) == ("0-100", 50)
+    small_ft = tmp_path / "small.csv"
+    assert main(argv + ["--features", str(small_ft), "--out", str(tmp_path / "s.json")]) == EXIT_OK
+    assert (tmp_path / "r.json").read_bytes() == (tmp_path / "s.json").read_bytes()
+
+
 def test_classify_manifest_must_cover_feature_ids(tmp_path, capsys):
     ft = tmp_path / "features.csv"
     write_labeled_table(ft, n_per_class=3)
@@ -749,44 +792,65 @@ def test_classify_and_report_without_options_record_run_config_defaults(tmp_path
 # --- option validation ------------------------------------------------------
 
 
+_X = ["--features", "x", "--out", "y"]
+_GENERATE = ["--profile", "broadcast_like", "--count", "2", "--out-dir", "g"]
+
+# (argv, the part of the error line that names the rule and its option)
+_INVALID_OPTIONS = [
+    (["classify", *_X, "--k", "0"], "--k must be >= 1"),
+    (["classify", *_X, "--folds", "0"], "--folds must be >= 1"),
+    (["classify", *_X, "--test-fraction", "1.5"], "--test-fraction must be in (0, 1)"),
+    (["classify", *_X, "--manifest", "m.csv", "--min-tweets", "-1"], "--min-tweets must be >= 0"),
+    (["distances", "m.csv", "--out", "d.csv", "--which", "bogus"],
+     "argument --which: invalid choice: 'bogus'"),
+    (["generate", "--profile", "nonsense", "--count", "1", "--out-dir", "g"],
+     "argument --profile: invalid choice: 'nonsense' (choose from broadcast_like, clustered_like)"),
+    (["features", "m.csv", "--out", "f.csv", "--bucket", "0-100"],
+     "unrecognized arguments: --bucket 0-100"),
+    # the tweet counts come from --manifest: without it the filter has no input
+    (["classify", *_X, "--min-tweets", "100"], "--min-tweets needs --manifest"),
+    (["report", *_X, "--min-tweets", "100000"], "--min-tweets needs --manifest"),
+    # options the chosen mode would not read
+    (["distances", "m.csv", "--out", "d.csv", "--which", "portrait", "--include-large"],
+     "--include-large has no effect with --which portrait"),
+    (["distances", "m.csv", "--out", "d.csv", "--which", "dgcd13", "--portrait-undirected"],
+     "--portrait-undirected has no effect with --which dgcd13"),
+    (["distances", "m.csv", "--out", "d.csv", "--portrait-undirected"],  # dgcd13 by default
+     "--portrait-undirected has no effect with --which dgcd13"),
+    (["classify", *_X, "--classifier", "lr", "--k", "5"], "--k has no effect with --classifier lr"),
+    (["classify", *_X, "--k", "5"], "--k has no effect with --classifier lr"),  # lr by default
+    (["classify", *_X, "--classifier", "knn", "--distances", "d"],
+     "--distances has no effect with --classifier knn"),
+    (["classify", *_X, "--distances", "d"], "--distances has no effect with --classifier lr"),
+    # options the chosen mode needs
+    (["classify", *_X, "--classifier", "knn-distance"],
+     "--classifier knn-distance needs --distances"),
+    (["generate", "--profile", "clustered_like", "--count", "0", "--out-dir", "g",
+      "--bucket", "0-100"], "--count must be >= 1"),
+    (["generate", *_GENERATE], "the following arguments are required: --bucket"),
+    (["generate", *_GENERATE, "--bucket", "all"],
+     "argument --bucket: invalid choice: 'all' (choose from 0-100, 100-1000, 1000+)"),
+    (["classify", *_X, "--seed", "-1"], "--seed must be >= 0"),
+    (["generate", *_GENERATE, "--bucket", "0-100", "--seed", "-1"], "--seed must be >= 0"),
+    (["classify", *_X, "--bias", "bogus"],
+     "argument --bias: invalid choice: 'bogus' (choose from left, centre, right, satire, none)"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["classify", "--features", "x", "--out", "y", "--k", "0"],
-        ["classify", "--features", "x", "--out", "y", "--folds", "0"],
-        ["classify", "--features", "x", "--out", "y", "--test-fraction", "1.5"],
-        ["classify", "--features", "x", "--out", "y", "--min-tweets", "-1"],
-        ["distances", "m.csv", "--out", "d.csv", "--which", "bogus"],
-        ["generate", "--profile", "nonsense", "--count", "1", "--out-dir", "g"],
-        ["features", "m.csv", "--out", "f.csv", "--bucket", "0-100"],
-        # the tweet counts come from --manifest: without it the filter has no input
-        ["classify", "--features", "x", "--out", "y", "--min-tweets", "100"],
-        ["report", "--features", "x", "--out", "y", "--min-tweets", "100000"],
-        # options the chosen mode would not read
-        ["distances", "m.csv", "--out", "d.csv", "--which", "portrait", "--include-large"],
-        ["distances", "m.csv", "--out", "d.csv", "--which", "dgcd13", "--portrait-undirected"],
-        ["distances", "m.csv", "--out", "d.csv", "--portrait-undirected"],  # dgcd13 by default
-        ["classify", "--features", "x", "--out", "y", "--classifier", "lr", "--k", "5"],
-        ["classify", "--features", "x", "--out", "y", "--k", "5"],  # lr by default
-        ["classify", "--features", "x", "--out", "y", "--classifier", "knn", "--distances", "d"],
-        ["classify", "--features", "x", "--out", "y", "--distances", "d"],  # lr by default
-        # options the chosen mode needs
-        ["classify", "--features", "x", "--out", "y", "--classifier", "knn-distance"],
-        ["generate", "--profile", "clustered_like", "--count", "0", "--out-dir", "g",
-         "--bucket", "0-100"],
-        ["generate", "--profile", "broadcast_like", "--count", "2", "--out-dir", "g"],  # all
-        ["generate", "--profile", "broadcast_like", "--count", "2", "--out-dir", "g",
-         "--bucket", "all"],
-    ],
+    "argv, message", _INVALID_OPTIONS, ids=[f"argv{i}" for i in range(len(_INVALID_OPTIONS))]
 )
-def test_invalid_options_exit_two(argv, tmp_path, monkeypatch, capsys):
+def test_invalid_options_exit_two(argv, message, tmp_path, monkeypatch, capsys):
     # argparse and config_from_args refuse bad values, options the subcommand
-    # does not read and options its mode needs, before any command code runs
+    # does not read and options its mode needs, before any command code runs,
+    # with the usage line of the subcommand
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: diffnet {argv[0]} ")
+    assert f"\ndiffnet {argv[0]}: error: {message}" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -828,6 +892,46 @@ def test_each_subcommand_takes_exactly_its_options():
             "--features", "--manifest", "--out", "--bias", "--exclude-source", "--bucket",
             "--min-tweets",
         },
+    }
+
+
+def test_enum_option_metavars_list_exactly_the_values_they_accept():
+    # a value is accepted when the command line parses and passes config_from_args
+    minimal = {
+        "build": ["e.jsonl", "--out-dir", "o"],
+        "features": ["m.csv", "--out", "f.csv"],
+        "generate": ["--profile", "broadcast_like", "--count", "1", "--out-dir", "g",
+                     "--bucket", "0-100"],
+        "classify": ["--features", "x", "--out", "y"],
+        "report": ["--features", "x", "--out", "y"],
+    }
+
+    def accepts(argv):
+        try:
+            cli.config_from_args(cli.build_parser().parse_args(argv))
+        except (SystemExit, ValueError):
+            return False
+        return True
+
+    (subcommands,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    checked = set()
+    for name, p in subcommands.choices.items():
+        for action in p._actions:
+            if not (action.metavar or "").startswith("{"):
+                continue
+            option = action.option_strings[0]
+            listed = action.metavar[1:-1].split(",")
+            enum = type(action.type(listed[0]))
+            for member in enum:
+                argv = [name, *minimal[name], option, member.value]
+                assert accepts(argv) == (member.value in listed), argv
+            checked.add((name, option))
+    assert checked == {
+        ("build", "--direction"), ("features", "--clustering"), ("generate", "--profile"),
+        ("generate", "--bucket"), ("classify", "--bias"), ("classify", "--bucket"),
+        ("report", "--bias"), ("report", "--bucket"),
     }
 
 

@@ -91,6 +91,15 @@ def test_manifest_bad_tweet_count_reports_line(tmp_path):
     )
     with pytest.raises(FileFormatError, match=":2"):
         read_manifest(path)
+    # counts are never negative
+    for row, message in (("-7,", "negative tweet_count: -7"), ("60,-2", "negative n_nodes: -2")):
+        path.write_text(
+            "network_id,path,label,bias,tweet_count,n_nodes\n"
+            "a,a.edges,mainstream,none,60,5\n"
+            f"b,b.edges,mainstream,none,{row}\n"
+        )
+        with pytest.raises(FileFormatError, match=re.escape(f"m.csv:3: {message}")):
+            read_manifest(path)
 
 
 def test_manifest_duplicate_id_reports_line(tmp_path):
@@ -149,6 +158,13 @@ def test_feature_table_bad_cell_reports_line(tmp_path):
         "a,mainstream,none,3,1,1,1,3,1,zero,1\n"
     )
     with pytest.raises(FileFormatError, match=":2"):
+        read_feature_table(path)
+    # a negative node count would file the sample under bucket 0-100
+    path.write_text(
+        "network_id,label,bias,n_nodes,scc,lscc,wcc,lwcc,dwcc,cc,kc\n"
+        "a,mainstream,none,-5,1,1,1,3,1,0.5,1\n"
+    )
+    with pytest.raises(FileFormatError, match="f.csv:2: negative n_nodes: -5"):
         read_feature_table(path)
 
 

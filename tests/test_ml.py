@@ -631,14 +631,16 @@ def test_evaluate_bucket_restriction():
                     Label.MAINSTREAM if i < 25 else Label.DISINFORMATION, n_nodes=500)
         for i in range(50)
     ]
-    ds = LabeledDataset(small + big)
+    # evaluate scores every sample it is given: a bucket is chosen by
+    # building the dataset from the samples whose Sample.bucket it is
     config = EvalConfig(classifier="knn", k=3)
-    assert evaluate(ds, config, SizeBucket.D_0_100).n_samples == 60
-    assert evaluate(ds, config, SizeBucket.D_100_1000).n_samples == 50
-    assert evaluate(ds, config, SizeBucket.D_ALL).n_samples == 110
-    assert evaluate(ds, config, SizeBucket.D_0_100).bucket == "0-100"
-    with pytest.raises(ValueError, match="no samples"):
-        evaluate(ds, config, SizeBucket.D_1000_INF)
+    for bucket, n_samples in ((SizeBucket.D_0_100, 60), (SizeBucket.D_100_1000, 50)):
+        ds = LabeledDataset([s for s in small + big if s.bucket is bucket])
+        assert evaluate(ds, config).n_samples == n_samples
+    assert evaluate(LabeledDataset(small + big), config).n_samples == 110
+    empty = LabeledDataset([s for s in small + big if s.bucket is SizeBucket.D_1000_INF])
+    with pytest.raises(ValueError, match="class 0 has 0 samples, need >= 20"):
+        evaluate(empty, config)
 
 
 def test_evaluate_is_deterministic():
@@ -650,10 +652,17 @@ def test_evaluate_is_deterministic():
 
 def test_report_json_layout():
     rng = np.random.default_rng(29)
-    ds = two_class_dataset(rng, 25, (0.0, 0.4), (0.6, 1.0))
+    samples = two_class_dataset(rng, 25, (0.0, 0.4), (0.6, 1.0)).samples
+    samples += [
+        make_sample(100 + i, [1, 1, 1, 2, 0, 0.5, 1], Label.MAINSTREAM, n_nodes=500)
+        for i in range(5)
+    ]
+    ds = LabeledDataset([s for s in samples if s.bucket is SizeBucket.D_0_100])
     report = evaluate(ds, EvalConfig(classifier="knn", k=5))
     payload = report.to_dict()
-    assert set(payload) == {"config", "bucket", "n_samples", "folds", "aggregate", "pooled_auc"}
+    # the bucket is the caller's choice of samples: cli.cmd_classify records it
+    assert set(payload) == {"config", "n_samples", "folds", "aggregate", "pooled_auc"}
+    assert payload["n_samples"] == 50
     assert len(payload["folds"]) == 10
     for fold in payload["folds"]:
         assert fold["roc"][0]["threshold"] is None  # the sentinel before any positive call
@@ -705,18 +714,17 @@ def test_evaluate_knn_matches_per_query_reference():
     # the reference scores each test sample on its own, as knn_predict does
     rng = np.random.default_rng(31)
     samples = two_class_dataset(rng, 25, (0.0, 0.6), (0.4, 1.0)).samples
-    samples += [  # a coarse second bucket, so the reference indexes within one bucket
+    samples += [  # a coarse second bucket, so each bucket's dataset is a strict subset
         make_sample(100 + i, [int(rng.integers(1, 4)), 1, 1, 2, 0, 0.5, 1],
                     Label.MAINSTREAM if i < 20 else Label.DISINFORMATION, n_nodes=500)
         for i in range(40)
     ]
-    ds = LabeledDataset(samples)
     config = EvalConfig(classifier="knn", k=7, seed=3)
     for bucket in (SizeBucket.D_0_100, SizeBucket.D_100_1000, SizeBucket.D_ALL):
-        report = evaluate(ds, config, bucket)
+        ds = LabeledDataset([s for s in samples if bucket.contains(s.n_nodes)])
+        report = evaluate(ds, config)
 
-        idx = ds.bucket_indices(bucket)
-        x, y = ds.feature_matrix()[idx], ds.label_vector()[idx]
+        x, y = ds.feature_matrix(), ds.label_vector()
         pooled_scores, pooled_labels = [], []
         splits = stratified_shuffle_split(y, folds=10, test_fraction=0.1, seed=3)
         for fold, (train, test) in enumerate(splits):
