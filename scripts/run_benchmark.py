@@ -1,10 +1,14 @@
 """End-to-end synthetic benchmark: generate labeled ensembles per size
-bucket, extract the seven global features, and cross-validate the feature
-classifiers. Prints one line per (bucket, classifier) plus an optional
+bucket, extract the seven global features, and cross-validate the paper's
+classifiers: logistic regression and K-NN on the features (``lr``, ``knn``),
+and K-NN on a pairwise distance matrix alone (``knn-dgcd13``,
+``knn-portrait``). Prints one line per (bucket, classifier) plus an optional
 shuffled-label control, and can dump the full reports as JSON.
 
 Example:
     python3 scripts/run_benchmark.py --count 500 --control --out-dir runs/
+    python3 scripts/run_benchmark.py --count 200 --buckets 100-1000 \\
+        --classifiers knn-dgcd13 knn-portrait --portrait-undirected
 """
 
 from __future__ import annotations
@@ -22,23 +26,31 @@ from diffnet import (
     Sample,
     SizeBucket,
     dataset_from_samples,
+    distance_matrix,
     evaluate,
     extract_features,
     generate_ensemble,
+    network_correlations,
+    portrait,
 )
 
 PROFILE_SEEDS = {ClassProfile.BROADCAST_LIKE: 101, ClassProfile.CLUSTERED_LIKE: 202}
+# the K-NN classifiers that read a distance matrix, and the distance of each
+DISTANCES = {"knn-dgcd13": "dgcd13", "knn-portrait": "portrait"}
 
 
-def build_dataset(bucket: SizeBucket, count: int, seed: int):
-    samples = []
-    for profile, offset in PROFILE_SEEDS.items():
-        networks = generate_ensemble(profile, bucket, count=count, seed=seed + offset)
-        samples.extend(
-            Sample(net.network_id, extract_features(net), net.label, net.bias, net.n_nodes)
-            for net in networks
-        )
-    return dataset_from_samples(samples)
+def generate(bucket: SizeBucket, count: int, seed: int):
+    return [
+        net
+        for profile, offset in PROFILE_SEEDS.items()
+        for net in generate_ensemble(profile, bucket, count=count, seed=seed + offset)
+    ]
+
+
+def signature(net, distance: str, undirected: bool) -> np.ndarray:
+    if distance == "portrait":
+        return portrait(net, undirected=undirected)
+    return network_correlations(net)
 
 
 def shuffled_control(dataset, seed: int):
@@ -58,7 +70,9 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--buckets", nargs="+", default=["0-100", "100-1000"],
                         choices=[b.value for b in SizeBucket if b is not SizeBucket.D_ALL])
     parser.add_argument("--classifiers", nargs="+", default=["lr", "knn"],
-                        choices=["lr", "knn"])
+                        choices=["lr", "knn", *DISTANCES])
+    parser.add_argument("--portrait-undirected", action="store_true",
+                        help="knn-portrait compares portraits of the undirected networks")
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument("--folds", type=int, default=10)
     parser.add_argument("--test-fraction", type=float, default=0.1)
@@ -68,22 +82,44 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--out-dir", type=Path, default=None,
                         help="write one JSON report per (bucket, classifier)")
     args = parser.parse_args(argv)
+    if args.portrait_undirected and "knn-portrait" not in args.classifiers:
+        parser.error("--portrait-undirected has no effect without knn-portrait in --classifiers")
 
     if args.out_dir is not None:
         args.out_dir.mkdir(parents=True, exist_ok=True)
+
+    def run(classifier: str, dataset):
+        config = EvalConfig(classifier=classifier, k=args.k, folds=args.folds,
+                            test_fraction=args.test_fraction, seed=args.seed)
+        return evaluate(dataset, config)
 
     t0 = time.perf_counter()
     for bucket_name in args.buckets:
         bucket = SizeBucket(bucket_name)
         t_bucket = time.perf_counter()
-        dataset = build_dataset(bucket, args.count, args.seed)
+        networks = generate(bucket, args.count, args.seed)
+        samples = [
+            Sample(net.network_id, extract_features(net), net.label, net.bias, net.n_nodes)
+            for net in networks
+        ]
+        dataset = dataset_from_samples(samples)
         print(f"[{bucket.value}] {len(dataset.samples)} networks generated "
               f"in {time.perf_counter() - t_bucket:.1f} s")
 
         for classifier in args.classifiers:
-            config = EvalConfig(classifier=classifier, k=args.k, folds=args.folds,
-                                test_fraction=args.test_fraction, seed=args.seed)
-            report = evaluate(dataset, config)
+            if classifier in DISTANCES:
+                distance = DISTANCES[classifier]
+                t_matrix = time.perf_counter()
+                matrix = distance_matrix(
+                    [signature(net, distance, args.portrait_undirected) for net in networks],
+                    distance,
+                )
+                print(f"[{bucket.value}] {distance} matrix "
+                      f"in {time.perf_counter() - t_matrix:.1f} s")
+                ids = [net.network_id for net in networks]
+                report = run("knn-distance", dataset_from_samples(samples, distances=(ids, matrix)))
+            else:
+                report = run(classifier, dataset)
             print(f"[{bucket.value}] {classifier}: mean AUC {report.mean('auc'):.3f} "
                   f"+/- {report.std('auc'):.3f} (pooled {report.pooled_auc:.3f})")
             if args.out_dir is not None:
@@ -91,9 +127,7 @@ def main(argv: list[str] | None = None) -> None:
                 out.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
 
         if args.control:
-            config = EvalConfig(classifier="lr", k=args.k, folds=args.folds,
-                                test_fraction=args.test_fraction, seed=args.seed)
-            report = evaluate(shuffled_control(dataset, args.seed + 7), config)
+            report = run("lr", shuffled_control(dataset, args.seed + 7))
             print(f"[{bucket.value}] shuffled-label control: "
                   f"mean AUC {report.mean('auc'):.3f} +/- {report.std('auc'):.3f}")
 

@@ -274,7 +274,8 @@ def _filtered_samples(args: argparse.Namespace, config: RunConfig) -> list[Sampl
     """The feature-table samples of ``config.bucket`` that pass the other
     corpus filters; the tweet-count filter applies only when a manifest is
     given, which must then hold every sample of the bucket. Selecting no
-    sample is an error."""
+    sample is an error that names the bucket, or the options that left out
+    all of its labeled samples."""
     samples = [s for s in ds.read_feature_table(args.features) if config.bucket.contains(s.n_nodes)]
     tweet_counts = None
     if args.manifest:
@@ -284,6 +285,8 @@ def _filtered_samples(args: argparse.Namespace, config: RunConfig) -> list[Sampl
             raise DiffnetError(
                 f"manifest lacks feature-table ids: {', '.join(sorted(missing))}"
             )
+    if all(s.label is Label.UNLABELED for s in samples):
+        raise DiffnetError(f"no samples in bucket {config.bucket.value}")
     selected = ds.select_corpus(
         samples,
         tweet_counts,
@@ -292,7 +295,18 @@ def _filtered_samples(args: argparse.Namespace, config: RunConfig) -> list[Sampl
         exclude_sources=args.exclude_source,
     )
     if not selected:
-        raise DiffnetError(f"no samples in bucket {config.bucket.value}")
+        filters = [
+            option
+            for option, given in (
+                ("--min-tweets", tweet_counts),
+                ("--bias", args.bias),
+                ("--exclude-source", args.exclude_source),
+            )
+            if given
+        ]
+        raise DiffnetError(
+            f"no labeled samples in bucket {config.bucket.value} pass {' and '.join(filters)}"
+        )
     return selected
 
 
@@ -418,19 +432,20 @@ def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
 # --- argument parsing -------------------------------------------------------
 
 
-def _enum_option(members) -> dict:
-    """Parse an option straight to one of the enum ``members``; its metavar
-    and its error list their values."""
-    by_value = {m.value: m for m in members}
+def _choice_option(choices) -> dict:
+    """Parse an option straight to one of ``choices``: strings, or enum
+    members given by their values. Its metavar and its error list the
+    values."""
+    by_value = {getattr(c, "value", c): c for c in choices}
 
-    def member(text: str) -> Enum:
+    def choice(text: str):
         if text not in by_value:
             raise argparse.ArgumentTypeError(
                 f"invalid choice: {text!r} (choose from {', '.join(by_value)})"
             )
         return by_value[text]
 
-    return {"type": member, "metavar": "{" + ",".join(by_value) + "}"}
+    return {"type": choice, "metavar": "{" + ",".join(by_value) + "}"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,26 +467,26 @@ def build_parser() -> argparse.ArgumentParser:
     samples.add_argument("--features", required=True)
     samples.add_argument("--manifest", default=None)
     samples.add_argument("--out", required=True)
-    samples.add_argument("--bias", action="append", default=None, **_enum_option(Bias))
+    samples.add_argument("--bias", action="append", default=None, **_choice_option(Bias))
     samples.add_argument("--exclude-source", action="append", default=[])
-    samples.add_argument("--bucket", **_enum_option(SizeBucket))
+    samples.add_argument("--bucket", **_choice_option(SizeBucket))
     samples.add_argument("--min-tweets", type=int)
 
     p = sub.add_parser("build", help="build networks from an interaction event file")
     p.add_argument("events_file")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--direction", **_enum_option(EdgeDirection))
+    p.add_argument("--direction", **_choice_option(EdgeDirection))
     p.add_argument("--min-tweets", type=int)
 
     p = sub.add_parser("features", help="compute the seven-feature table for a manifest")
     p.add_argument("manifest")
     p.add_argument("--out", required=True)
-    p.add_argument("--clustering", **_enum_option(ClusteringVariant))
+    p.add_argument("--clustering", **_choice_option(ClusteringVariant))
 
     p = sub.add_parser("distances", help="compute a pairwise distance matrix")
     p.add_argument("manifest")
     p.add_argument("--out", required=True)
-    p.add_argument("--which", dest="distance", choices=["dgcd13", "portrait"])
+    p.add_argument("--which", dest="distance", **_choice_option(["dgcd13", "portrait"]))
     p.add_argument("--include-large", action="store_true")
     p.add_argument("--portrait-undirected", action="store_true")
 
@@ -480,19 +495,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--distances", default=None)
     p.add_argument("--roc-out", default=None)
-    p.add_argument("--classifier", choices=["lr", "knn", "knn-distance"])
+    p.add_argument("--classifier", **_choice_option(["lr", "knn", "knn-distance"]))
     p.add_argument("--k", type=int)
     p.add_argument("--folds", type=int)
     p.add_argument("--test-fraction", type=float)
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("generate", help="generate a synthetic labeled ensemble")
-    p.add_argument("--profile", required=True, **_enum_option(ClassProfile))
+    p.add_argument("--profile", required=True, **_choice_option(ClassProfile))
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int)
     concrete = [b for b in SizeBucket if b is not SizeBucket.D_ALL]
-    p.add_argument("--bucket", required=True, **_enum_option(concrete))
+    p.add_argument("--bucket", required=True, **_choice_option(concrete))
 
     sub.add_parser(
         "report", parents=[samples], help="per-feature class comparison (KS tests, box-plot data)"

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import shlex
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -598,15 +599,24 @@ def test_classify_with_distances_and_no_labeled_rows_names_the_empty_bucket(tmp_
 
 @pytest.mark.parametrize("subcommand", ["classify", "report"])
 @pytest.mark.parametrize(
-    "options, bucket", [(["--bucket", "1000+"], "1000+"), (["--exclude-source", ""], "all")]
+    "options, message",
+    [
+        (["--bucket", "1000+"], "no samples in bucket 1000+"),
+        # the bucket holds samples: the error names the options that left them out
+        (["--exclude-source", ""], "no labeled samples in bucket all pass --exclude-source"),
+        (["--bias", "satire"], "no labeled samples in bucket all pass --bias"),
+        (["--bucket", "0-100", "--bias", "satire", "--exclude-source", "main"],
+         "no labeled samples in bucket 0-100 pass --bias and --exclude-source"),
+    ],
+    ids=["options0-1000+", "options1-all", "options2-all", "options3-0-100"],
 )
-def test_a_selection_of_no_samples_names_the_bucket(tmp_path, capsys, subcommand, options, bucket):
+def test_a_selection_of_no_samples_names_the_bucket(tmp_path, capsys, subcommand, options, message):
     ft = tmp_path / "features.csv"
-    write_labeled_table(ft)  # 50 networks of 60 nodes
+    write_labeled_table(ft)  # 50 networks of 60 nodes, biases left and right
     out = tmp_path / "r.json"
 
     assert main([subcommand, "--features", str(ft), "--out", str(out)] + options) == EXIT_FATAL
-    assert capsys.readouterr().err == f"error: no samples in bucket {bucket}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -802,7 +812,7 @@ _INVALID_OPTIONS = [
     (["classify", *_X, "--test-fraction", "1.5"], "--test-fraction must be in (0, 1)"),
     (["classify", *_X, "--manifest", "m.csv", "--min-tweets", "-1"], "--min-tweets must be >= 0"),
     (["distances", "m.csv", "--out", "d.csv", "--which", "bogus"],
-     "argument --which: invalid choice: 'bogus'"),
+     "argument --which: invalid choice: 'bogus' (choose from dgcd13, portrait)"),
     (["generate", "--profile", "nonsense", "--count", "1", "--out-dir", "g"],
      "argument --profile: invalid choice: 'nonsense' (choose from broadcast_like, clustered_like)"),
     (["features", "m.csv", "--out", "f.csv", "--bucket", "0-100"],
@@ -834,6 +844,8 @@ _INVALID_OPTIONS = [
     (["generate", *_GENERATE, "--bucket", "0-100", "--seed", "-1"], "--seed must be >= 0"),
     (["classify", *_X, "--bias", "bogus"],
      "argument --bias: invalid choice: 'bogus' (choose from left, centre, right, satire, none)"),
+    (["classify", *_X, "--classifier", "bogus"],
+     "argument --classifier: invalid choice: 'bogus' (choose from lr, knn, knn-distance)"),
 ]
 
 
@@ -900,11 +912,14 @@ def test_enum_option_metavars_list_exactly_the_values_they_accept():
     minimal = {
         "build": ["e.jsonl", "--out-dir", "o"],
         "features": ["m.csv", "--out", "f.csv"],
+        "distances": ["m.csv", "--out", "d.csv"],
         "generate": ["--profile", "broadcast_like", "--count", "1", "--out-dir", "g",
                      "--bucket", "0-100"],
         "classify": ["--features", "x", "--out", "y"],
         "report": ["--features", "x", "--out", "y"],
     }
+    # what a value's mode needs besides the minimal command line
+    needs = {"knn-distance": ["--distances", "d"]}
 
     def accepts(argv):
         try:
@@ -923,15 +938,18 @@ def test_enum_option_metavars_list_exactly_the_values_they_accept():
                 continue
             option = action.option_strings[0]
             listed = action.metavar[1:-1].split(",")
-            enum = type(action.type(listed[0]))
-            for member in enum:
-                argv = [name, *minimal[name], option, member.value]
-                assert accepts(argv) == (member.value in listed), argv
+            kind = type(action.type(listed[0]))
+            # every member of an enum, listed or not; of plain values, one unlisted
+            values = [m.value for m in kind] if issubclass(kind, Enum) else [*listed, "bogus"]
+            for value in values:
+                argv = [name, *minimal[name], option, value, *needs.get(value, [])]
+                assert accepts(argv) == (value in listed), argv
             checked.add((name, option))
     assert checked == {
-        ("build", "--direction"), ("features", "--clustering"), ("generate", "--profile"),
-        ("generate", "--bucket"), ("classify", "--bias"), ("classify", "--bucket"),
-        ("report", "--bias"), ("report", "--bucket"),
+        ("build", "--direction"), ("features", "--clustering"), ("distances", "--which"),
+        ("generate", "--profile"), ("generate", "--bucket"), ("classify", "--bias"),
+        ("classify", "--bucket"), ("classify", "--classifier"), ("report", "--bias"),
+        ("report", "--bucket"),
     }
 
 

@@ -19,7 +19,7 @@ def load_script(name: str):
 
 
 def test_every_script_has_a_smoke_test():
-    assert sorted(p.stem for p in SCRIPTS.glob("*.py")) == ["run_benchmark", "run_distance_benchmark"]
+    assert sorted(p.stem for p in SCRIPTS.glob("*.py")) == ["run_benchmark"]
 
 
 def test_run_benchmark(tmp_path, capsys):
@@ -36,11 +36,14 @@ def test_run_benchmark(tmp_path, capsys):
 
 @pytest.mark.parametrize("metric", ["dgcd13", "portrait"])
 def test_run_distance_benchmark(tmp_path, capsys, metric):
-    out = tmp_path / "report.json"
-    load_script("run_distance_benchmark").main(
-        ["--count", "20", "--bucket", "0-100", "--metric", metric, "--out", str(out)]
+    # K-NN on the distance matrix alone
+    load_script("run_benchmark").main(
+        ["--count", "20", "--buckets", "0-100", "--classifiers", f"knn-{metric}",
+         "--out-dir", str(tmp_path)]
     )
-    assert f"{metric} knn (k=10): mean AUC" in capsys.readouterr().out
+    assert f"[0-100] knn-{metric}: mean AUC" in capsys.readouterr().out
+    (out,) = tmp_path.iterdir()
+    assert out.name == f"benchmark-0-100-knn-{metric}.json"
     report = json.loads(out.read_text())
     assert report["n_samples"] == 40
     assert report["config"]["classifier"] == "knn-distance"
@@ -48,5 +51,5 @@ def test_run_distance_benchmark(tmp_path, capsys, metric):
 
 def test_run_distance_benchmark_rejects_an_option_it_would_not_read():
     with pytest.raises(SystemExit) as excinfo:
-        load_script("run_distance_benchmark").main(["--metric", "dgcd13", "--portrait-undirected"])
+        load_script("run_benchmark").main(["--classifiers", "knn-dgcd13", "--portrait-undirected"])
     assert excinfo.value.code == 2
