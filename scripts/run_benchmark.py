@@ -33,6 +33,7 @@ from diffnet import (
     network_correlations,
     portrait,
 )
+from diffnet.cli import RunConfig, check_count
 
 PROFILE_SEEDS = {ClassProfile.BROADCAST_LIKE: 101, ClassProfile.CLUSTERED_LIKE: 202}
 # the K-NN classifiers that read a distance matrix, and the distance of each
@@ -82,6 +83,12 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--out-dir", type=Path, default=None,
                         help="write one JSON report per (bucket, classifier)")
     args = parser.parse_args(argv)
+    try:  # the rules diffnet checks these options by
+        check_count(args.count)
+        RunConfig("benchmark", k=args.k, folds=args.folds, test_fraction=args.test_fraction,
+                  seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.portrait_undirected and "knn-portrait" not in args.classifiers:
         parser.error("--portrait-undirected has no effect without knn-portrait in --classifiers")
 

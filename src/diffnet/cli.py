@@ -20,6 +20,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
@@ -45,7 +46,6 @@ from .graphs import (
 )
 from .graphlets import LARGE_NETWORK_THRESHOLD, network_correlations
 from .ml import (
-    ConvergenceWarning,
     EvalConfig,
     LogisticConfig,
     Sample,
@@ -107,6 +107,23 @@ def worker_count() -> int:
     if workers < 1:
         raise DiffnetError(f"DIFFNET_WORKERS must be a positive integer, got {raw!r}")
     return workers
+
+
+@contextmanager
+def _warning_lines():
+    """Print each warning raised inside, every time, as ``warning: <message>``
+    on stderr, the one form of a command's warnings. Each network measured
+    enters it too, since a pool worker need not inherit the command's state."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        yield
+
+
+def check_count(count: int) -> None:
+    """The ``--count`` rule: a ValueError unless count >= 1."""
+    if count < 1:
+        raise ValueError("--count must be >= 1")
 
 
 def network_id_for_url(url: str) -> str:
@@ -174,16 +191,10 @@ def cmd_build(args: argparse.Namespace, config: RunConfig) -> int:
     manifest_path = _write_corpus(out_dir, networks)
     total_nodes = sum(len(n.nodes) for n in networks)
     total_edges = sum(len(n.edges) for n in networks)
-    below_min = [n.network_id for n in networks if n.tweet_count < config.min_tweets]
     print(
         f"built {len(networks)} networks ({total_nodes} nodes, {total_edges} edges) "
         f"-> {manifest_path}"
     )
-    if below_min:
-        print(
-            f"note: {len(below_min)} networks below min_tweets={config.min_tweets}: "
-            + ", ".join(below_min)
-        )
     return EXIT_PARTIAL if skipped else EXIT_OK
 
 
@@ -195,10 +206,11 @@ def _measure(task):
     ``(None, reason)`` when the network cannot be loaded or measured: one
     bad file cannot stop a pool, and only paths and results cross it."""
     fn, path, network_id = task
-    try:
-        return fn(load_network(path, network_id=network_id)), None
-    except (DiffnetError, OSError, ValueError) as exc:
-        return None, str(exc)
+    with _warning_lines():
+        try:
+            return fn(load_network(path, network_id=network_id)), None
+        except (DiffnetError, OSError, ValueError) as exc:
+            return None, str(exc)
 
 
 def _measure_corpus(manifest: str, fn) -> tuple[list, bool]:
@@ -282,31 +294,26 @@ def _filtered_samples(args: argparse.Namespace, config: RunConfig) -> list[Sampl
         tweet_counts = {e.network_id: e.tweet_count for e in ds.read_manifest(Path(args.manifest))}
         missing = [s.network_id for s in samples if s.network_id not in tweet_counts]
         if missing:
-            raise DiffnetError(
-                f"manifest lacks feature-table ids: {', '.join(sorted(missing))}"
-            )
-    if all(s.label is Label.UNLABELED for s in samples):
+            raise DiffnetError(f"manifest lacks feature-table ids: {', '.join(sorted(missing))}")
+    labeled = [s for s in samples if s.label is not Label.UNLABELED]
+    if not labeled:
         raise DiffnetError(f"no samples in bucket {config.bucket.value}")
-    selected = ds.select_corpus(
-        samples,
-        tweet_counts,
-        min_tweets=config.min_tweets,
-        bias_filter=frozenset(args.bias) if args.bias else None,
-        exclude_sources=args.exclude_source,
-    )
-    if not selected:
-        filters = [
-            option
-            for option, given in (
-                ("--min-tweets", tweet_counts),
-                ("--bias", args.bias),
-                ("--exclude-source", args.exclude_source),
-            )
-            if given
-        ]
-        raise DiffnetError(
-            f"no labeled samples in bucket {config.bucket.value} pass {' and '.join(filters)}"
+    # the optional corpus filters, each applied when its option is given
+    filters = [
+        (option, keep)
+        for option, given, keep in (
+            ("--min-tweets", args.manifest,
+             lambda s: tweet_counts[s.network_id] >= config.min_tweets),
+            ("--bias", args.bias, lambda s: s.bias in args.bias),
+            ("--exclude-source", args.exclude_source,
+             lambda s: not any(src in s.network_id for src in args.exclude_source)),
         )
+        if given
+    ]
+    selected = [s for s in labeled if all(keep(s) for _, keep in filters)]
+    if not selected:
+        options = " and ".join(option for option, _ in filters)
+        raise DiffnetError(f"no labeled samples in bucket {config.bucket.value} pass {options}")
     return selected
 
 
@@ -339,11 +346,7 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
         seed=config.seed,
         logistic=LogisticConfig(),
     )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ConvergenceWarning)
-        report = evaluate(dataset, eval_config)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    report = evaluate(dataset, eval_config)
     payload = report.to_dict()
     payload["config"].update(config.provenance())
     payload["bucket"] = config.bucket.value
@@ -476,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("events_file")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--direction", **_choice_option(EdgeDirection))
-    p.add_argument("--min-tweets", type=int)
 
     p = sub.add_parser("features", help="compute the seven-feature table for a manifest")
     p.add_argument("manifest")
@@ -518,12 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """The run's options; a ValueError names the usage rule that they break."""
     given = vars(args)
-    # classify and report read tweet counts from an optional --manifest;
-    # build has no such option, it counts the tweets of its own events
-    if "min_tweets" in given and given.get("manifest", "") is None:
+    # classify and report read tweet counts from an optional --manifest
+    if "min_tweets" in given and not given["manifest"]:
         raise ValueError("--min-tweets needs --manifest, which holds the tweet counts")
-    if given.get("count", 1) < 1:
-        raise ValueError("--count must be >= 1")
+    check_count(given.get("count", 1))
     config = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
     if config.classifier == "knn-distance" and given.get("distances") is None:
         raise ValueError("--classifier knn-distance needs --distances, the matrix it reads")
@@ -565,7 +565,8 @@ def main(argv: list[str] | None = None) -> int:
         # a usage error prints the usage line of the subcommand it is in
         _subcommand_parser(parser, args.subcommand).error(str(exc))
     try:
-        return _COMMANDS[args.subcommand](args, config)
+        with _warning_lines():
+            return _COMMANDS[args.subcommand](args, config)
     except (DiffnetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL

@@ -2,9 +2,7 @@
 
 The manifest is the corpus index: one row per network file with its label,
 bias and tweet count; ``ManifestEntry.resolve_path`` finds its network
-file. ``select_corpus`` applies the corpus filters to its entries or to
-feature-table samples, and ``dataset_from_samples`` turns samples into a
-LabeledDataset.
+file. ``dataset_from_samples`` turns samples into a LabeledDataset.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,8 +27,6 @@ from .portraits import divergence_from_portraits, portrait_distributions
 MANIFEST_COLUMNS = ("network_id", "path", "label", "bias", "tweet_count")
 FEATURE_TABLE_COLUMNS = ("network_id", "label", "bias", "n_nodes") + FEATURE_NAMES
 _FEATURE_NUMBER_COLUMNS = ("n_nodes",) + FEATURE_NAMES
-
-_Item = TypeVar("_Item")  # ManifestEntry or Sample: has network_id, label and bias
 
 
 #: Characters ``float`` and ``int`` accept around or inside a number but no
@@ -298,32 +294,6 @@ def distance_matrix(signatures: Sequence[np.ndarray], distance: str) -> np.ndarr
 
 
 # --- dataset assembly -------------------------------------------------------
-
-
-def select_corpus(
-    items: Iterable[_Item],
-    tweet_counts: Mapping[str, int] | None,
-    *,
-    min_tweets: int = 50,
-    bias_filter: frozenset[Bias] | None = None,
-    exclude_sources: Sequence[str] = (),
-) -> list[_Item]:
-    """The manifest entries or samples that pass the corpus filters.
-
-    An item is dropped when its tweet count (looked up by network_id in
-    ``tweet_counts``; this filter is off when that is None) is below
-    ``min_tweets``, when it is unlabeled, when ``bias_filter`` is given and
-    lacks its bias, or when any ``exclude_sources`` string occurs in its
-    network_id. The order of ``items`` is kept.
-    """
-    return [
-        item
-        for item in items
-        if (tweet_counts is None or tweet_counts[item.network_id] >= min_tweets)
-        and item.label is not Label.UNLABELED
-        and (bias_filter is None or item.bias in bias_filter)
-        and not any(src in item.network_id for src in exclude_sources)
-    ]
 
 
 def dataset_from_samples(

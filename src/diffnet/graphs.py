@@ -476,7 +476,7 @@ def load_network(path, *, network_id: str | None = None) -> DiffusionNetwork:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split("\t") if "\t" in line else line.split()
+            parts = line.split("\t")
             if len(parts) != 2 or not parts[0] or not parts[1]:
                 raise FileFormatError(
                     f"expected 'src<TAB>dst', got {line!r}", path=path, line_no=line_no

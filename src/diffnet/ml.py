@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .features import FEATURE_NAMES, FeatureVector
-from .graphs import Bias, Label, SizeBucket
+from .graphs import Bias, Label
 
 POSITIVE_LABEL = Label.DISINFORMATION
 
@@ -335,10 +335,6 @@ class Sample:
     label: Label
     bias: Bias
     n_nodes: int
-
-    @property
-    def bucket(self) -> SizeBucket:
-        return SizeBucket.from_node_count(self.n_nodes)
 
 
 @dataclass

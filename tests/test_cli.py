@@ -113,9 +113,7 @@ def test_build_writes_networks_and_manifest(tmp_path, capsys):
 
     captured = capsys.readouterr()
     assert code == EXIT_OK
-    assert "built 2 networks (5 nodes, 3 edges)" in captured.out
-    # small toy stories fall below the default tweet threshold: a note, not an error
-    assert "note: 2 networks below min_tweets=50" in captured.out
+    assert captured.out == f"built 2 networks (5 nodes, 3 edges) -> {out_dir / 'manifest.csv'}\n"
     assert captured.err == ""
 
     id_a = network_id_for_url(URL_A)
@@ -316,6 +314,20 @@ def test_corpus_pass_that_measures_nothing_is_fatal(built_networks, tmp_path, ca
     assert code == EXIT_FATAL
     assert f"error: no network of {manifest} could be measured" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_library_warning_prints_as_one_warning_line(tmp_path, capfd, monkeypatch, workers):
+    # on the serial path and in pool workers alike; capfd sees what workers write to fd 2
+    manifest = write_corpus(
+        tmp_path, [make_network(3, [(0, 1), (1, 2)], network_id=f"n{i}") for i in range(2)]
+    )
+    edges = manifest.parent / "n1.edges"
+    edges.write_text(edges.read_text() + "n000\tn001\n")  # a repeated edge line
+    monkeypatch.setenv("DIFFNET_WORKERS", workers)
+
+    assert main(["features", str(manifest), "--out", str(tmp_path / "f.csv")]) == EXIT_OK
+    assert capfd.readouterr().err == f"warning: {edges}: collapsed 1 duplicate edge line(s)\n"
 
 
 def test_features_missing_manifest_is_fatal(tmp_path, capsys):
@@ -757,6 +769,50 @@ def test_report_filters(tmp_path):
     assert n_samples(["--manifest", str(tmp_path / "manifest.csv"), "--min-tweets", "50"]) == 20
 
 
+@pytest.mark.parametrize(
+    "options, kept",
+    [
+        ([], ["large", "medium", "small", "thin"]),  # no manifest, no tweet-count filter
+        (["--manifest", "manifest.csv"], ["large", "medium", "small"]),  # 49 tweets < 50
+        (["--manifest", "manifest.csv", "--min-tweets", "5000"],
+         "no labeled samples in bucket all pass --min-tweets"),
+        (["--manifest", "manifest.csv", "--bias", "right", "--bias", "satire"],
+         ["large", "medium"]),
+        (["--manifest", "manifest.csv", "--exclude-source", "med", "--exclude-source", "lar"],
+         ["small"]),
+    ],
+    ids=["no-manifest", "manifest", "min-tweets-5000", "bias-right-satire", "exclude-med-lar"],
+)
+def test_corpus_filters_select_samples(tmp_path, monkeypatch, options, kept):
+    # the samples classify and report run on, from the one list of corpus filters
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(3)
+    members = [  # (id, label, bias, nodes, tweets); one per bucket plus filter bait
+        ("small", Label.MAINSTREAM, Bias.NONE, 60, 80),
+        ("medium", Label.DISINFORMATION, Bias.RIGHT, 150, 300),
+        ("large", Label.DISINFORMATION, Bias.SATIRE, 1200, 2000),
+        ("thin", Label.MAINSTREAM, Bias.NONE, 30, 49),
+        ("nolabel", Label.UNLABELED, Bias.NONE, 70, 90),
+    ]
+    write_feature_table(
+        [Sample(nid, feature_row(rng, False), label, bias, n) for nid, label, bias, n, _ in members],
+        "features.csv",
+    )
+    write_manifest(
+        [ManifestEntry(nid, f"{nid}.edges", label, bias, tweets, n)
+         for nid, label, bias, n, tweets in members],
+        "manifest.csv",
+    )
+    args = cli.build_parser().parse_args(["report", "--features", "features.csv", "--out", "r.json",
+                                          *options])
+    config = cli.config_from_args(args)
+    if isinstance(kept, str):
+        with pytest.raises(DiffnetError, match=f"^{kept}$"):
+            cli._filtered_samples(args, config)
+    else:
+        assert [s.network_id for s in cli._filtered_samples(args, config)] == kept
+
+
 def test_report_single_class_is_fatal(tmp_path, capsys):
     rng = np.random.default_rng(0)
     samples = [
@@ -846,6 +902,11 @@ _INVALID_OPTIONS = [
      "argument --bias: invalid choice: 'bogus' (choose from left, centre, right, satire, none)"),
     (["classify", *_X, "--classifier", "bogus"],
      "argument --classifier: invalid choice: 'bogus' (choose from lr, knn, knn-distance)"),
+    # build writes every network it builds; the tweet filter is classify's and report's
+    (["build", "e.jsonl", "--out-dir", "o", "--min-tweets", "5"],
+     "unrecognized arguments: --min-tweets 5"),
+    # an empty --manifest holds no tweet counts either
+    (["report", *_X, "--manifest", "", "--min-tweets", "5"], "--min-tweets needs --manifest"),
 ]
 
 
@@ -891,7 +952,7 @@ def test_each_subcommand_takes_exactly_its_options():
         for name, p in subcommands.choices.items()
     }
     assert options == {
-        "build": {"events_file", "--out-dir", "--direction", "--min-tweets"},
+        "build": {"events_file", "--out-dir", "--direction"},
         "features": {"manifest", "--out", "--clustering"},
         "distances": {"manifest", "--out", "--which", "--include-large", "--portrait-undirected"},
         "classify": {

@@ -16,7 +16,6 @@ from diffnet import (
     Label,
     ManifestEntry,
     Sample,
-    SizeBucket,
     dataset_from_samples,
     distance_matrix,
     extract_features,
@@ -31,7 +30,6 @@ from diffnet import (
     write_feature_table,
     write_manifest,
 )
-from diffnet.dataset import select_corpus
 
 from util import make_network
 
@@ -148,7 +146,6 @@ def test_feature_table_roundtrip(tmp_path):
     assert by_id["w"].features == extract_features(nets["w"])
     assert by_id["w"].label is Label.DISINFORMATION
     assert by_id["v"].n_nodes == 4
-    assert by_id["v"].bucket is SizeBucket.D_0_100
 
 
 def test_feature_table_bad_cell_reports_line(tmp_path):
@@ -450,7 +447,7 @@ def test_distance_matrix_empty_rejected(tmp_path):
 
 
 def write_corpus(tmp_path):
-    """Three labeled networks in different buckets plus filter bait."""
+    """Three labeled networks in different buckets."""
     members = {
         "small": (make_network(60, [(0, i) for i in range(1, 60)], network_id="small"),
                   Label.MAINSTREAM, Bias.NONE, 80),
@@ -458,10 +455,6 @@ def write_corpus(tmp_path):
                    Label.DISINFORMATION, Bias.RIGHT, 300),
         "large": (make_network(1200, [(i, i + 1) for i in range(1199)], network_id="large"),
                   Label.DISINFORMATION, Bias.SATIRE, 2000),
-        "thin": (make_network(30, [(0, 1)], network_id="thin"),
-                 Label.MAINSTREAM, Bias.NONE, 49),
-        "nolabel": (make_network(70, [(0, i) for i in range(1, 70)], network_id="nolabel"),
-                    Label.UNLABELED, Bias.NONE, 90),
     }
     entries = []
     for name, (net, label, bias, tweets) in members.items():
@@ -474,54 +467,28 @@ def write_corpus(tmp_path):
     return manifest, members
 
 
-def kept_entries(manifest, **filters):
-    """The manifest entries that pass ``select_corpus``, tweet counts from the manifest."""
-    entries = read_manifest(manifest)
-    return select_corpus(entries, {e.network_id: e.tweet_count for e in entries}, **filters)
-
-
 def corpus_samples(manifest):
-    """A sample per kept manifest entry, from its loaded network's features."""
-    kept = kept_entries(manifest)
+    """A sample per manifest entry, from its loaded network's features."""
     samples = []
-    for entry in kept:
+    for entry in read_manifest(manifest):
         network = load_network(entry.resolve_path(manifest.parent))
         samples.append(Sample(entry.network_id, extract_features(network), entry.label,
                               entry.bias, network.n_nodes))
     return samples
 
 
-def test_assemble_applies_corpus_filters(tmp_path):
+def test_assemble_orders_samples_by_id(tmp_path):
     manifest, members = write_corpus(tmp_path)
-    ds = dataset_from_samples(corpus_samples(manifest))
-    # the 49-tweet and unlabeled entries drop out; order is by id
+    ds = dataset_from_samples(corpus_samples(manifest)[::-1])
     assert [s.network_id for s in ds.samples] == ["large", "medium", "small"]
-    buckets = {s.network_id: s.bucket for s in ds.samples}
-    assert buckets == {
-        "small": SizeBucket.D_0_100,
-        "medium": SizeBucket.D_100_1000,
-        "large": SizeBucket.D_1000_INF,
+    assert {s.network_id: s.n_nodes for s in ds.samples} == {
+        "small": 60,
+        "medium": 150,
+        "large": 1200,
     }
     small = next(s for s in ds.samples if s.network_id == "small")
     assert small.features == extract_features(members["small"][0])
     assert small.label is Label.MAINSTREAM
-
-
-def test_assemble_min_tweets_can_empty_the_corpus(tmp_path):
-    manifest, _ = write_corpus(tmp_path)
-    assert kept_entries(manifest, min_tweets=5000) == []
-
-
-def test_assemble_bias_slice(tmp_path):
-    manifest, _ = write_corpus(tmp_path)
-    kept = kept_entries(manifest, bias_filter=frozenset({Bias.RIGHT, Bias.SATIRE}))
-    assert [e.network_id for e in kept] == ["large", "medium"]
-
-
-def test_assemble_exclude_sources_substring(tmp_path):
-    manifest, _ = write_corpus(tmp_path)
-    kept = kept_entries(manifest, exclude_sources=("med", "lar"))
-    assert [e.network_id for e in kept] == ["small"]
 
 
 def test_assemble_reindexes_distances(tmp_path):

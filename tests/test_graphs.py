@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -314,8 +313,8 @@ def test_bucket_of_uses_node_count():
     # a sample's bucket is derived from its node count
     net = build_network([ev("t0", "A", None, Interaction.ORIGINAL)], URL)
     sample = Sample(net.network_id, extract_features(net), net.label, net.bias, net.n_nodes)
-    assert sample.bucket is SizeBucket.D_0_100
-    assert replace(sample, n_nodes=1000).bucket is SizeBucket.D_1000_INF
+    assert SizeBucket.from_node_count(sample.n_nodes) is SizeBucket.D_0_100
+    assert SizeBucket.from_node_count(1000) is SizeBucket.D_1000_INF
 
 
 # --- events file ingestion --------------------------------------------------
@@ -489,6 +488,15 @@ def test_load_rejects_malformed_line(tmp_path):
     path.write_text("u1\n")
     with pytest.raises(FileFormatError):
         load_network(path)
+
+
+def test_load_rejects_a_line_without_a_tab(tmp_path):
+    # one edge-line format: src<TAB>dst, as save_network writes it
+    path = tmp_path / "g.edges"
+    path.write_text("u1 u2\n")
+    with pytest.raises(FileFormatError, match="expected 'src<TAB>dst'") as err:
+        load_network(path)
+    assert err.value.line_no == 1
 
 
 def test_relabeled_preserves_structure():

@@ -632,13 +632,13 @@ def test_evaluate_bucket_restriction():
         for i in range(50)
     ]
     # evaluate scores every sample it is given: a bucket is chosen by
-    # building the dataset from the samples whose Sample.bucket it is
+    # building the dataset from the samples whose node count it contains
     config = EvalConfig(classifier="knn", k=3)
     for bucket, n_samples in ((SizeBucket.D_0_100, 60), (SizeBucket.D_100_1000, 50)):
-        ds = LabeledDataset([s for s in small + big if s.bucket is bucket])
+        ds = LabeledDataset([s for s in small + big if bucket.contains(s.n_nodes)])
         assert evaluate(ds, config).n_samples == n_samples
     assert evaluate(LabeledDataset(small + big), config).n_samples == 110
-    empty = LabeledDataset([s for s in small + big if s.bucket is SizeBucket.D_1000_INF])
+    empty = LabeledDataset([s for s in small + big if SizeBucket.D_1000_INF.contains(s.n_nodes)])
     with pytest.raises(ValueError, match="class 0 has 0 samples, need >= 20"):
         evaluate(empty, config)
 
@@ -657,7 +657,7 @@ def test_report_json_layout():
         make_sample(100 + i, [1, 1, 1, 2, 0, 0.5, 1], Label.MAINSTREAM, n_nodes=500)
         for i in range(5)
     ]
-    ds = LabeledDataset([s for s in samples if s.bucket is SizeBucket.D_0_100])
+    ds = LabeledDataset([s for s in samples if SizeBucket.D_0_100.contains(s.n_nodes)])
     report = evaluate(ds, EvalConfig(classifier="knn", k=5))
     payload = report.to_dict()
     # the bucket is the caller's choice of samples: cli.cmd_classify records it

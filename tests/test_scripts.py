@@ -53,3 +53,22 @@ def test_run_distance_benchmark_rejects_an_option_it_would_not_read():
     with pytest.raises(SystemExit) as excinfo:
         load_script("run_benchmark").main(["--classifiers", "knn-dgcd13", "--portrait-undirected"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--count", "0"], "--count must be >= 1"),
+        (["--k", "0"], "--k must be >= 1"),
+        (["--folds", "0"], "--folds must be >= 1"),
+        (["--test-fraction", "1.5"], "--test-fraction must be in (0, 1)"),
+        (["--seed", "-1"], "--seed must be >= 0"),
+    ],
+    ids=["count", "k", "folds", "test-fraction", "seed"],
+)
+def test_run_benchmark_refuses_a_bad_number_as_diffnet_does(capsys, option, message):
+    # the rules and words of diffnet's own checks, with a usage error's exit 2
+    with pytest.raises(SystemExit) as excinfo:
+        load_script("run_benchmark").main(["--count", "20", "--buckets", "0-100", *option])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
