@@ -30,14 +30,14 @@ from diffnet import (
     evaluate,
     extract_features,
     generate_ensemble,
-    network_correlations,
-    portrait,
 )
-from diffnet.cli import RunConfig, check_count
+from diffnet.cli import RunConfig
+from diffnet.dataset import DISTANCES, signature
+from diffnet.ml import CLASSIFIERS, MIN_CLASS_SAMPLES
 
 PROFILE_SEEDS = {ClassProfile.BROADCAST_LIKE: 101, ClassProfile.CLUSTERED_LIKE: 202}
-# the K-NN classifiers that read a distance matrix, and the distance of each
-DISTANCES = {"knn-dgcd13": "dgcd13", "knn-portrait": "portrait"}
+# knn-<distance> is knn-distance on the matrix of that distance
+KNN_DISTANCE = {f"knn-{distance}": distance for distance in DISTANCES}
 
 
 def generate(bucket: SizeBucket, count: int, seed: int):
@@ -46,12 +46,6 @@ def generate(bucket: SizeBucket, count: int, seed: int):
         for profile, offset in PROFILE_SEEDS.items()
         for net in generate_ensemble(profile, bucket, count=count, seed=seed + offset)
     ]
-
-
-def signature(net, distance: str, undirected: bool) -> np.ndarray:
-    if distance == "portrait":
-        return portrait(net, undirected=undirected)
-    return network_correlations(net)
 
 
 def shuffled_control(dataset, seed: int):
@@ -71,20 +65,21 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--buckets", nargs="+", default=["0-100", "100-1000"],
                         choices=[b.value for b in SizeBucket if b is not SizeBucket.D_ALL])
     parser.add_argument("--classifiers", nargs="+", default=["lr", "knn"],
-                        choices=["lr", "knn", *DISTANCES])
+                        choices=[c for c in CLASSIFIERS if c != "knn-distance"] + [*KNN_DISTANCE])
     parser.add_argument("--portrait-undirected", action="store_true",
                         help="knn-portrait compares portraits of the undirected networks")
-    parser.add_argument("--k", type=int, default=10)
-    parser.add_argument("--folds", type=int, default=10)
-    parser.add_argument("--test-fraction", type=float, default=0.1)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--k", type=int, default=RunConfig.k)
+    parser.add_argument("--folds", type=int, default=RunConfig.folds)
+    parser.add_argument("--test-fraction", type=float, default=RunConfig.test_fraction)
+    parser.add_argument("--seed", type=int, default=RunConfig.seed)
     parser.add_argument("--control", action="store_true",
                         help="also run a shuffled-label control with lr")
     parser.add_argument("--out-dir", type=Path, default=None,
                         help="write one JSON report per (bucket, classifier)")
     args = parser.parse_args(argv)
+    if args.count < MIN_CLASS_SAMPLES:
+        parser.error(f"--count must be >= {MIN_CLASS_SAMPLES}, the samples per class evaluate needs")
     try:  # the rules diffnet checks these options by
-        check_count(args.count)
         RunConfig("benchmark", k=args.k, folds=args.folds, test_fraction=args.test_fraction,
                   seed=args.seed)
     except ValueError as exc:
@@ -114,12 +109,12 @@ def main(argv: list[str] | None = None) -> None:
               f"in {time.perf_counter() - t_bucket:.1f} s")
 
         for classifier in args.classifiers:
-            if classifier in DISTANCES:
-                distance = DISTANCES[classifier]
+            if classifier in KNN_DISTANCE:
+                distance = KNN_DISTANCE[classifier]
+                undirected = args.portrait_undirected and distance == "portrait"
                 t_matrix = time.perf_counter()
                 matrix = distance_matrix(
-                    [signature(net, distance, args.portrait_undirected) for net in networks],
-                    distance,
+                    [signature(net, distance, undirected=undirected) for net in networks], distance
                 )
                 print(f"[{bucket.value}] {distance} matrix "
                       f"in {time.perf_counter() - t_matrix:.1f} s")

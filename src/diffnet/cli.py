@@ -44,15 +44,15 @@ from .graphs import (
     read_events,
     save_network,
 )
-from .graphlets import LARGE_NETWORK_THRESHOLD, network_correlations
+from .graphlets import LARGE_NETWORK_THRESHOLD
 from .ml import (
+    CLASSIFIERS,
     EvalConfig,
     LogisticConfig,
     Sample,
     evaluate,
     feature_ks_tests,
 )
-from .portraits import portrait
 from .synth import ClassProfile, generate_ensemble
 
 EXIT_OK = 0
@@ -120,12 +120,6 @@ def _warning_lines():
         yield
 
 
-def check_count(count: int) -> None:
-    """The ``--count`` rule: a ValueError unless count >= 1."""
-    if count < 1:
-        raise ValueError("--count must be >= 1")
-
-
 def network_id_for_url(url: str) -> str:
     """Stable filesystem-safe id: last path segment slug plus a URL hash."""
     tail = url.rstrip("/").rsplit("/", 1)[-1]
@@ -171,9 +165,9 @@ def cmd_build(args: argparse.Namespace, config: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     events, skipped = read_events(args.events_file)
     if skipped:
-        print(f"warning: skipped {len(skipped)} malformed event lines", file=sys.stderr)
+        warnings.warn(f"skipped {len(skipped)} malformed event lines")
         for line_no, reason in skipped:
-            print(f"warning: {args.events_file}:{line_no}: {reason}", file=sys.stderr)
+            warnings.warn(f"{args.events_file}:{line_no}: {reason}")
     if not events:
         raise DiffnetError(f"no events in {args.events_file}")
 
@@ -229,7 +223,7 @@ def _measure_corpus(manifest: str, fn) -> tuple[list, bool]:
             results = list(pool.map(_measure, tasks))
     for entry, (_, error) in zip(entries, results):
         if error is not None:
-            print(f"warning: skipped {entry.network_id}: {error}", file=sys.stderr)
+            warnings.warn(f"skipped {entry.network_id}: {error}")
     measured = [(e, result) for e, (result, error) in zip(entries, results) if error is None]
     if not measured:
         raise DiffnetError(f"no network of {manifest} could be measured")
@@ -252,11 +246,10 @@ def cmd_features(args: argparse.Namespace, config: RunConfig) -> int:
 def _signature(network: DiffusionNetwork, *, config: RunConfig) -> np.ndarray | None:
     """The network's signature for ``config.distance``, or None for a
     network the dgcd13 matrix excludes."""
-    if config.distance == "portrait":
-        return portrait(network, undirected=config.portrait_undirected)
-    if not config.include_large and network.n_nodes >= LARGE_NETWORK_THRESHOLD:
+    large = network.n_nodes >= LARGE_NETWORK_THRESHOLD
+    if config.distance == "dgcd13" and large and not config.include_large:
         return None
-    return network_correlations(network)
+    return ds.signature(network, config.distance, undirected=config.portrait_undirected)
 
 
 def cmd_distances(args: argparse.Namespace, config: RunConfig) -> int:
@@ -330,11 +323,8 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
                     f"distance matrix {args.distances} holds none of the "
                     f"{len(samples)} selected feature-table ids"
                 )
-            print(
-                f"warning: distance matrix lacks {len(lacking)} feature-table ids, "
-                f"left out: {', '.join(lacking)}",
-                file=sys.stderr,
-            )
+            warnings.warn(f"distance matrix lacks {len(lacking)} feature-table ids, "
+                          f"left out: {', '.join(lacking)}")
             samples = [s for s in samples if s.network_id in matrix_ids]
     dataset = ds.dataset_from_samples(samples, distances=distances)
 
@@ -488,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distances", help="compute a pairwise distance matrix")
     p.add_argument("manifest")
     p.add_argument("--out", required=True)
-    p.add_argument("--which", dest="distance", **_choice_option(["dgcd13", "portrait"]))
+    p.add_argument("--which", dest="distance", **_choice_option(ds.DISTANCES))
     p.add_argument("--include-large", action="store_true")
     p.add_argument("--portrait-undirected", action="store_true")
 
@@ -497,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--distances", default=None)
     p.add_argument("--roc-out", default=None)
-    p.add_argument("--classifier", **_choice_option(["lr", "knn", "knn-distance"]))
+    p.add_argument("--classifier", **_choice_option(CLASSIFIERS))
     p.add_argument("--k", type=int)
     p.add_argument("--folds", type=int)
     p.add_argument("--test-fraction", type=float)
@@ -523,7 +513,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     # classify and report read tweet counts from an optional --manifest
     if "min_tweets" in given and not given["manifest"]:
         raise ValueError("--min-tweets needs --manifest, which holds the tweet counts")
-    check_count(given.get("count", 1))
+    if given.get("count", 1) < 1:
+        raise ValueError("--count must be >= 1")
     config = RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
     if config.classifier == "knn-distance" and given.get("distances") is None:
         raise ValueError("--classifier knn-distance needs --distances, the matrix it reads")

@@ -2,7 +2,8 @@
 
 The manifest is the corpus index: one row per network file with its label,
 bias and tweet count; ``ManifestEntry.resolve_path`` finds its network
-file. ``dataset_from_samples`` turns samples into a LabeledDataset.
+file. ``signature`` and ``distance_matrix`` compute the ``DISTANCES``;
+``dataset_from_samples`` turns samples into a LabeledDataset.
 """
 
 from __future__ import annotations
@@ -19,14 +20,15 @@ import numpy as np
 
 from .errors import DatasetError, FileFormatError
 from .features import FEATURE_NAMES, FeatureVector
-from .graphlets import dgcd_from_correlations
-from .graphs import Bias, Label
+from .graphlets import dgcd_from_correlations, network_correlations
+from .graphs import Bias, DiffusionNetwork, Label
 from .ml import LabeledDataset, Sample
-from .portraits import divergence_from_portraits, portrait_distributions
+from .portraits import divergence_from_portraits, portrait, portrait_distributions
 
 MANIFEST_COLUMNS = ("network_id", "path", "label", "bias", "tweet_count")
 FEATURE_TABLE_COLUMNS = ("network_id", "label", "bias", "n_nodes") + FEATURE_NAMES
 _FEATURE_NUMBER_COLUMNS = ("n_nodes",) + FEATURE_NAMES
+DISTANCES = ("dgcd13", "portrait")  # DGCD-13 and the portrait divergence
 
 
 #: Characters ``float`` and ``int`` accept around or inside a number but no
@@ -67,11 +69,8 @@ class ManifestEntry:
     tweet_count: int
     n_nodes: int | None = None
 
-    def resolve_path(self, base: Path | None) -> Path:
-        p = Path(self.path)
-        if not p.is_absolute() and base is not None:
-            p = base / p
-        return p
+    def resolve_path(self, base: Path) -> Path:
+        return base / self.path  # an absolute path stays as it is
 
 
 def write_manifest(entries: Sequence[ManifestEntry], path: str | Path) -> None:
@@ -268,10 +267,21 @@ def read_distance_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:
     return ids, matrix
 
 
+def signature(network: DiffusionNetwork, distance: str, *, undirected: bool = False) -> np.ndarray:
+    """What ``distance`` compares of a network: its 13x13 orbit correlations
+    for ``dgcd13``, its portrait (``undirected`` or not) for ``portrait``."""
+    if distance == "portrait":
+        return portrait(network, undirected=undirected)
+    if distance != "dgcd13":
+        raise ValueError(f"unknown distance {distance!r}")
+    if undirected:
+        raise ValueError("undirected applies to the portrait distance only")
+    return network_correlations(network)
+
+
 def distance_matrix(signatures: Sequence[np.ndarray], distance: str) -> np.ndarray:
-    """Symmetric zero-diagonal matrix of the distances between per-network
-    signatures: 13x13 orbit correlations for ``dgcd13``, portraits for
-    ``portrait``.
+    """Symmetric zero-diagonal matrix of the ``distance`` between
+    per-network signatures (see ``signature``).
 
     Identical signatures are compared once, so their distance is exactly 0
     and their rows are identical. Row i of the distinct signatures is one

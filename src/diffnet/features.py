@@ -11,15 +11,13 @@ else works on the undirected simple projection.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import count
 
 import numpy as np
 
 from .graphs import DiffusionNetwork, bfs_layers, has_arcs, require_nodes, triangles
-
-FEATURE_NAMES = ("scc", "lscc", "wcc", "lwcc", "dwcc", "cc", "kc")
 
 
 class ClusteringVariant(str, Enum):
@@ -39,10 +37,11 @@ class FeatureVector:
 
     def to_array(self) -> np.ndarray:
         """The features as float64 in the fixed order expected downstream."""
-        return np.array(
-            [self.scc, self.lscc, self.wcc, self.lwcc, self.dwcc, self.cc, self.kc],
-            dtype=np.float64,
-        )
+        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=np.float64)
+
+
+#: The seven feature names, in the field order of ``FeatureVector``.
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
 
 
 def strongly_connected_component_sizes(network: DiffusionNetwork) -> list[int]:

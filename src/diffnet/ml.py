@@ -17,6 +17,8 @@ from .features import FEATURE_NAMES, FeatureVector
 from .graphs import Bias, Label
 
 POSITIVE_LABEL = Label.DISINFORMATION
+CLASSIFIERS = ("lr", "knn", "knn-distance")  # knn-distance reads a distance matrix alone
+MIN_CLASS_SAMPLES = 20  # the fewest samples per class that evaluate cross-validates
 
 
 # --- Kolmogorov-Smirnov two-sample test -------------------------------------
@@ -372,7 +374,7 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    classifier: str = "lr"  # lr | knn | knn-distance
+    classifier: str = "lr"  # one of CLASSIFIERS
     k: int = 10
     folds: int = 10
     test_fraction: float = 0.1
@@ -416,10 +418,7 @@ class ClassificationReport:
             "n_samples": self.n_samples,
             "folds": [
                 {
-                    "auc": f.auc,
-                    "precision": f.precision,
-                    "recall": f.recall,
-                    "f1": f.f1,
+                    **{m: getattr(f, m) for m in metrics},
                     "roc": [
                         {"threshold": t if math.isfinite(t) else None, "fpr": fp, "tpr": tp}
                         for t, fp, tp in zip(f.roc.thresholds.tolist(), f.roc.fpr.tolist(), f.roc.tpr.tolist())
@@ -472,14 +471,14 @@ def _fold_scores(
 
 def evaluate(dataset: LabeledDataset, config: EvalConfig) -> ClassificationReport:
     """Full cross-validated evaluation of every sample of ``dataset``."""
-    if config.classifier not in ("lr", "knn", "knn-distance"):
+    if config.classifier not in CLASSIFIERS:
         raise ValueError(f"unknown classifier {config.classifier!r}")
     if config.classifier == "knn-distance" and dataset.distances is None:
         raise ValueError("knn-distance requires a dataset with a distance matrix")
     y = dataset.label_vector()
     for cls, count in enumerate(np.bincount(y, minlength=2)):
-        if count < 20:
-            raise ValueError(f"class {cls} has {count} samples, need >= 20")
+        if count < MIN_CLASS_SAMPLES:
+            raise ValueError(f"class {cls} has {count} samples, need >= {MIN_CLASS_SAMPLES}")
     x = dataset.feature_matrix()
 
     splits = stratified_shuffle_split(y, folds=config.folds, test_fraction=config.test_fraction, seed=config.seed)

@@ -31,6 +31,7 @@ from diffnet import (
     write_manifest,
 )
 
+from diffnet.dataset import signature
 from util import make_network
 
 
@@ -434,6 +435,32 @@ def test_distance_matrix_of_one_and_two_signatures(distance):
 def test_distance_matrix_unknown_distance_rejected():
     with pytest.raises(ValueError, match="unknown distance"):
         distance_matrix([np.eye(13)], "bogus")
+
+
+_CYCLE_AND_TAIL = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (1, 4)]
+
+
+def test_signature_of_dgcd13_is_the_orbit_correlation_matrix():
+    net = make_network(5, _CYCLE_AND_TAIL)
+    assert np.array_equal(signature(net, "dgcd13"), network_correlations(net))
+
+
+@pytest.mark.parametrize("undirected", [False, True], ids=["directed", "undirected"])
+def test_signature_of_portrait_is_the_portrait(undirected):
+    net = make_network(5, _CYCLE_AND_TAIL)
+    got = signature(net, "portrait", undirected=undirected)
+    assert np.array_equal(got, portrait(net, undirected=undirected))
+    assert not np.array_equal(got, portrait(net, undirected=not undirected))
+
+
+def test_signature_unknown_distance_rejected():
+    with pytest.raises(ValueError, match="unknown distance 'bogus'"):
+        signature(make_network(2, [(0, 1)]), "bogus")
+
+
+def test_signature_undirected_dgcd13_rejected():
+    with pytest.raises(ValueError, match="undirected applies to the portrait distance only"):
+        signature(make_network(2, [(0, 1)]), "dgcd13", undirected=True)
 
 
 def test_distance_matrix_empty_rejected(tmp_path):

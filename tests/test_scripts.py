@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from diffnet.cli import RunConfig
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -58,7 +60,7 @@ def test_run_distance_benchmark_rejects_an_option_it_would_not_read():
 @pytest.mark.parametrize(
     "option, message",
     [
-        (["--count", "0"], "--count must be >= 1"),
+        (["--count", "0"], "--count must be >= 20, the samples per class evaluate needs"),
         (["--k", "0"], "--k must be >= 1"),
         (["--folds", "0"], "--folds must be >= 1"),
         (["--test-fraction", "1.5"], "--test-fraction must be in (0, 1)"),
@@ -72,3 +74,36 @@ def test_run_benchmark_refuses_a_bad_number_as_diffnet_does(capsys, option, mess
         load_script("run_benchmark").main(["--count", "20", "--buckets", "0-100", *option])
     assert excinfo.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_run_benchmark_refuses_fewer_networks_than_evaluate_needs(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        load_script("run_benchmark").main(["--count", "5", "--buckets", "0-100"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before any network is generated
+    assert captured.err.endswith(
+        "error: --count must be >= 20, the samples per class evaluate needs\n"
+    )
+
+
+def test_run_benchmark_defaults_are_diffnets(monkeypatch):
+    script = load_script("run_benchmark")
+    configs = []
+
+    class Evaluated(Exception):
+        pass
+
+    def evaluate(dataset, config):
+        configs.append(config)
+        raise Evaluated
+
+    monkeypatch.setattr(script, "evaluate", evaluate)
+    # read when the script parses its options: another default shows through
+    defaults = {"k": 3, "folds": 4, "test_fraction": 0.25, "seed": 2}
+    for name, value in defaults.items():
+        monkeypatch.setattr(RunConfig, name, value)
+    with pytest.raises(Evaluated):
+        script.main(["--count", "20", "--buckets", "0-100", "--classifiers", "lr"])
+    (config,) = configs
+    assert {name: getattr(config, name) for name in defaults} == defaults
