@@ -37,11 +37,10 @@ from .graphs import (
     EdgeDirection,
     Label,
     SizeBucket,
-    build_network,
+    build_networks,
     check_node_names,
-    group_events_by_url,
+    iter_events,
     load_network,
-    read_events,
     save_network,
 )
 from .graphlets import LARGE_NETWORK_THRESHOLD
@@ -163,25 +162,19 @@ def _write_corpus(out_dir: Path, networks: list[DiffusionNetwork]) -> Path:
 def cmd_build(args: argparse.Namespace, config: RunConfig) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    events, skipped = read_events(args.events_file)
+    skipped: list[tuple[int, str]] = []
+    networks = build_networks(
+        iter_events(args.events_file, skipped),
+        direction=config.direction,
+        network_id=network_id_for_url,
+    )
     if skipped:
         warnings.warn(f"skipped {len(skipped)} malformed event lines")
         for line_no, reason in skipped:
             warnings.warn(f"{args.events_file}:{line_no}: {reason}")
-    if not events:
+    if not networks:
         raise DiffnetError(f"no events in {args.events_file}")
 
-    networks = [
-        build_network(
-            url_events,
-            url,
-            direction=config.direction,
-            network_id=network_id_for_url(url),
-            label=Label.UNLABELED,
-            bias=Bias.NONE,
-        )
-        for url, url_events in sorted(group_events_by_url(events).items())
-    ]
     manifest_path = _write_corpus(out_dir, networks)
     total_nodes = sum(len(n.nodes) for n in networks)
     total_edges = sum(len(n.edges) for n in networks)

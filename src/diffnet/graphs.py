@@ -12,13 +12,13 @@ import json
 import sys
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -271,23 +271,71 @@ def bfs_layers(
     return counts, visited
 
 
+# bound once: on CPython 3.11 looking a member up on its Enum class takes
+# about 0.1 us, which made those lookups most of interaction_edge's time
+_ORIGINAL, _MENTION, _REVERSED = Interaction.ORIGINAL, Interaction.MENTION, EdgeDirection.REVERSED
+
+
 def interaction_edge(event: InteractionEvent, direction: EdgeDirection) -> tuple[str, str] | None:
     """Directed edge realized by one event, or None for originals/self-interactions."""
-    if event.interaction is Interaction.ORIGINAL:
+    if event.interaction is _ORIGINAL:
         return None
     if event.user == event.target_user:
         return None  # self-replies and self-mentions carry no diffusion edge
-    if event.interaction is Interaction.MENTION:
+    if event.interaction is _MENTION:
         edge = (event.user, event.target_user)
     else:
         edge = (event.target_user, event.user)
-    if direction is EdgeDirection.REVERSED:
+    if direction is _REVERSED:
         edge = (edge[1], edge[0])
     return edge
 
 
+def build_networks(
+    events: Iterable[InteractionEvent],
+    *,
+    direction: EdgeDirection = EdgeDirection.INFO_FLOW,
+    network_id: Callable[[str], str] = str,
+) -> list[DiffusionNetwork]:
+    """Build the diffusion network of each URL in ``events``, in URL order;
+    the network of ``url`` is named ``network_id(url)``.
+
+    One node per unique user appearing as actor or target; one edge per
+    distinct realized source/receiver pair (repeat interactions between the
+    same pair collapse to a single edge). Authors whose tweets drew no
+    interaction remain as isolated nodes.
+
+    Only a node set, an edge set and a tweet count per URL are kept, never
+    the events, so ``events`` may be a stream such as ``iter_events``. Each
+    URL's sets are dropped as its network is made, so a set and its frozen
+    copy coexist for one URL at a time.
+    """
+    grown = defaultdict(lambda: (set(), set(), [0]))  # url -> (nodes, edges, [tweet count])
+    for event in events:
+        nodes, edges, tweets = grown[event.url]
+        tweets[0] += 1
+        nodes.add(event.user)
+        if event.target_user is not None:
+            nodes.add(event.target_user)
+        edge = interaction_edge(event, direction)
+        if edge is not None:
+            edges.add(edge)
+    networks = []
+    for url in sorted(grown):
+        nodes, edges, (tweets,) = grown.pop(url)
+        networks.append(
+            DiffusionNetwork(
+                network_id=network_id(url),
+                nodes=frozenset(nodes),
+                edges=frozenset(edges),
+                tweet_count=tweets,
+            )
+        )
+    return networks
+
+
 def build_network(
-    events: Sequence[InteractionEvent],
+    events: Iterable[InteractionEvent],
     url: str,
     *,
     direction: EdgeDirection = EdgeDirection.INFO_FLOW,
@@ -295,34 +343,23 @@ def build_network(
     label: Label = Label.UNLABELED,
     bias: Bias = Bias.NONE,
 ) -> DiffusionNetwork:
-    """Build the diffusion network for one URL from its interaction events.
+    """Build the diffusion network of one URL from its interaction events
+    (see ``build_networks``); an event of another URL raises
+    :class:`MalformedEventError`, and no events give an empty network."""
 
-    One node per unique user appearing as actor or target; one edge per
-    distinct realized source/receiver pair (repeat interactions between the
-    same pair collapse to a single edge). Authors whose tweets drew no
-    interaction remain as isolated nodes.
-    """
-    nodes: set[str] = set()
-    edges: set[tuple[str, str]] = set()
-    for event in events:
-        if event.url != url:
-            raise MalformedEventError(
-                f"event {event.tweet_id!r} carries url {event.url!r}, expected {url!r}"
-            )
-        nodes.add(event.user)
-        if event.target_user is not None:
-            nodes.add(event.target_user)
-        edge = interaction_edge(event, direction)
-        if edge is not None:
-            edges.add(edge)
-    return DiffusionNetwork(
-        network_id=network_id if network_id is not None else url,
-        nodes=frozenset(nodes),
-        edges=frozenset(edges),
-        label=label,
-        bias=bias,
-        tweet_count=len(events),
-    )
+    def checked():
+        for event in events:
+            if event.url != url:
+                raise MalformedEventError(
+                    f"event {event.tweet_id!r} carries url {event.url!r}, expected {url!r}"
+                )
+            yield event
+
+    built = build_networks(checked(), direction=direction)
+    network = built[0] if built else DiffusionNetwork(url, frozenset(), frozenset())
+    if network_id is None:
+        network_id = url
+    return replace(network, network_id=network_id, label=label, bias=bias)
 
 
 # --- event file ingestion (one JSON object per line) -----------------------
@@ -377,31 +414,40 @@ def parse_event(obj: Mapping) -> InteractionEvent:
     )
 
 
+def iter_events(path, skipped: list[tuple[int, str]]) -> Iterator[InteractionEvent]:
+    """Yield the valid events of a JSONL events file in file order.
+
+    For each line that is not a valid event (not UTF-8, not JSON, nested
+    too deeply to decode, or not an event), append its line number and the
+    reason to ``skipped``. A UTF-8 byte order mark is accepted at the start
+    of the file only.
+    """
+    # surrogateescape reads a byte that is not UTF-8 as a lone surrogate,
+    # so such a byte fails its own line, not the decode buffer it sits in
+    with Path(path).open("r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                if not line.isascii():  # decoding its bytes again names the bad one
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                line = line.strip()
+                if not line:
+                    continue
+                event = parse_event(json.loads(line))
+            except (ValueError, TypeError, RecursionError) as exc:
+                # ValueError: UnicodeDecodeError, JSONDecodeError, MalformedEventError
+                skipped.append((line_no, str(exc)))
+                continue
+            yield event
+
+
 def read_events(path) -> tuple[list[InteractionEvent], list[tuple[int, str]]]:
     """Read a JSONL events file, skipping the lines that are not valid events.
 
     Returns (events, skipped): the events in file order and, per skipped
-    line, its line number and the reason.
+    line, its line number and the reason (see ``iter_events``).
     """
-    events: list[InteractionEvent] = []
     skipped: list[tuple[int, str]] = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(parse_event(json.loads(line)))
-            except (json.JSONDecodeError, MalformedEventError, ValueError, TypeError) as exc:
-                skipped.append((line_no, str(exc)))
-    return events, skipped
-
-
-def group_events_by_url(events: Iterable[InteractionEvent]) -> dict[str, list[InteractionEvent]]:
-    by_url: dict[str, list[InteractionEvent]] = defaultdict(list)
-    for event in events:
-        by_url[event.url].append(event)
-    return dict(by_url)
+    return list(iter_events(path, skipped)), skipped
 
 
 # --- edge-list serialization ------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import shlex
+import tracemalloc
 from enum import Enum
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from diffnet import (
     ManifestEntry,
     Sample,
     read_distance_matrix,
+    read_events,
     read_feature_table,
     read_manifest,
     save_network,
@@ -236,6 +238,101 @@ def test_build_merges_into_existing_manifest(tmp_path):
     entries = read_manifest(out_dir / "manifest.csv")
     assert len(entries) == 2
     assert {e.network_id: e for e in entries}[network_id_for_url(URL_A)].tweet_count == 4
+
+
+def test_build_skips_a_line_nested_too_deeply_to_decode(tmp_path, capsys):
+    events_path = tmp_path / "events.jsonl"
+    good = two_story_events()
+    events_path.write_text(
+        json.dumps(good[0]) + "\n" + "[" * 200_000 + "\n" + json.dumps(good[1]) + "\n"
+    )
+
+    code = main(["build", str(events_path), "--out-dir", str(tmp_path / "nets")])
+
+    assert code == EXIT_PARTIAL
+    err = capsys.readouterr().err
+    assert "warning: skipped 1 malformed event lines" in err
+    assert f"warning: {events_path}:2: maximum recursion depth exceeded" in err
+    assert read_manifest(tmp_path / "nets" / "manifest.csv")[0].tweet_count == 2
+
+
+def test_build_skips_a_line_that_is_not_utf8_and_builds_the_rest(tmp_path, capsys):
+    events_path = tmp_path / "events.jsonl"
+    lines = [json.dumps(e).encode() for e in two_story_events()]
+    lines[2] = lines[2].replace(b"carol", b"car\xffol")
+    events_path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    out_dir = tmp_path / "nets"
+
+    code = main(["build", str(events_path), "--out-dir", str(out_dir)])
+
+    assert code == EXIT_PARTIAL
+    captured = capsys.readouterr()
+    position = lines[2].index(b"\xff")
+    assert captured.err == (
+        "warning: skipped 1 malformed event lines\n"
+        f"warning: {events_path}:3: 'utf-8' codec can't decode byte 0xff in position "
+        f"{position}: invalid start byte\n"
+    )
+    assert captured.out == f"built 2 networks (4 nodes, 2 edges) -> {out_dir / 'manifest.csv'}\n"
+
+
+def test_build_accepts_a_byte_order_mark_at_the_start_of_the_file(tmp_path, capsys):
+    events_path = tmp_path / "events.jsonl"
+    events_path.write_bytes(b"\xef\xbb\xbf" + json.dumps(two_story_events()[0]).encode() + b"\n")
+    out_dir = tmp_path / "nets"
+
+    code = main(["build", str(events_path), "--out-dir", str(out_dir)])
+
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert [e.tweet_count for e in read_manifest(out_dir / "manifest.csv")] == [1]
+
+
+def repeated_retweet_events(n_urls=20, n_retweeters=49, repeats=30):
+    """Per URL one original and ``repeats`` retweets by each retweeter, the
+    URLs interleaved: 29,420 events by default, 20 networks of 50 nodes."""
+    urls = [f"https://example.com/news/story-{u:02d}" for u in range(n_urls)]
+    events = [event(f"o{u}", f"author{u}", "original", url) for u, url in enumerate(urls)]
+    for r in range(repeats):
+        for i in range(n_retweeters):
+            for u, url in enumerate(urls):
+                events.append(event(f"t{r}-{i}-{u}", f"fan{i}", "retweet", url, target=f"author{u}"))
+    return events
+
+
+def test_build_holds_the_networks_and_not_the_events(tmp_path, capsys):
+    events_path = tmp_path / "events.jsonl"
+    write_events(events_path, repeated_retweet_events())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        events = read_events(events_path)[0]
+        events_size = tracemalloc.get_traced_memory()[0] - before
+        assert len(events) == 29_420
+        del events
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        code = main(["build", str(events_path), "--out-dir", str(tmp_path / "nets")])
+        build_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.startswith("built 20 networks (1000 nodes, 980 edges)")
+    assert build_peak < events_size / 4
+
+
+def test_build_writes_the_same_bytes_whatever_the_order_of_the_urls(tmp_path):
+    events = repeated_retweet_events(n_urls=4, n_retweeters=5, repeats=2)
+    outputs = []
+    for name, ordered in (("interleaved", events), ("sorted", sorted(events, key=lambda e: e["url"]))):
+        events_path = tmp_path / f"{name}.jsonl"
+        write_events(events_path, ordered)
+        out_dir = tmp_path / name
+        assert main(["build", str(events_path), "--out-dir", str(out_dir)]) == EXIT_OK
+        outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert len(outputs[0]) == 1 + 2 * 4
+    assert outputs[0] == outputs[1]
 
 
 # --- features ---------------------------------------------------------------

@@ -23,8 +23,9 @@ from diffnet import (
     Sample,
     SizeBucket,
     build_network,
+    build_networks,
     extract_features,
-    group_events_by_url,
+    iter_events,
     load_network,
     parse_event,
     read_events,
@@ -393,15 +394,59 @@ def test_read_events_names_lines_that_are_not_objects(tmp_path):
     ]
 
 
-def test_group_events_by_url():
+def test_read_events_is_the_list_of_the_stream(tmp_path):
+    path = tmp_path / "events.jsonl"
+    _write_jsonl(path, [_VALID_EVENT, "nonsense", {**_VALID_EVENT, "tweet_id": "u"}])
+    skipped = []
+    assert read_events(path) == (list(iter_events(path, skipped)), skipped)
+    assert [line_no for line_no, _ in skipped] == [2]
+
+
+def test_iter_events_skips_a_line_nested_too_deeply_to_decode(tmp_path):
+    path = tmp_path / "events.jsonl"
+    path.write_text(json.dumps(_VALID_EVENT) + "\n" + "[" * 200_000 + "\n" + json.dumps(_VALID_EVENT) + "\n")
+    events, skipped = read_events(path)
+    assert len(events) == 2
+    assert [line_no for line_no, _ in skipped] == [2]
+    assert "recursion" in skipped[0][1]
+
+
+def test_iter_events_skips_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "events.jsonl"
+    line = json.dumps(_VALID_EVENT).encode()
+    path.write_bytes(line + b"\r\n" + line[:-1] + b"\xff}\r\n" + line + b"\r\n")
+    events, skipped = read_events(path)
+    assert len(events) == 2
+    assert skipped == [(2, f"'utf-8' codec can't decode byte 0xff in position {len(line) - 1}: "
+                           "invalid start byte")]
+
+
+def test_iter_events_accepts_a_byte_order_mark_at_the_start_of_the_file_only(tmp_path):
+    path = tmp_path / "events.jsonl"
+    line = json.dumps(_VALID_EVENT).encode()
+    path.write_bytes(b"\xef\xbb\xbf" + line + b"\n\xef\xbb\xbf" + line + b"\n")
+    events, skipped = read_events(path)
+    assert len(events) == 1
+    assert [line_no for line_no, _ in skipped] == [2]
+    assert "BOM" in skipped[0][1]
+
+
+def test_build_networks_builds_one_network_per_url_in_url_order():
     events = [
-        ev("t0", "A", None, Interaction.ORIGINAL, url="u1"),
-        ev("t1", "B", "A", Interaction.RETWEET, url="u2"),
-        ev("t2", "C", "A", Interaction.RETWEET, url="u1"),
+        ev("t0", "A", None, Interaction.ORIGINAL, url="u2"),
+        ev("t1", "B", "A", Interaction.RETWEET, url="u1"),
+        ev("t2", "C", "B", Interaction.RETWEET, url="u2"),
+        ev("t3", "A", None, Interaction.ORIGINAL, url="u1"),
+        ev("t4", "D", None, Interaction.ORIGINAL, url="u3"),
     ]
-    groups = group_events_by_url(events)
-    assert set(groups) == {"u1", "u2"}
-    assert [e.tweet_id for e in groups["u1"]] == ["t0", "t2"]
+    networks = build_networks(iter(events), network_id=str.upper)
+    assert [n.network_id for n in networks] == ["U1", "U2", "U3"]
+    for url, network in zip(["u1", "u2", "u3"], networks):
+        alone = build_network([e for e in events if e.url == url], url, network_id=url.upper())
+        assert network == alone
+    assert [n.tweet_count for n in networks] == [2, 2, 1]
+    assert networks[2].edges == frozenset()
+    assert build_networks([]) == []
 
 
 # --- edge-list serialization ------------------------------------------------
