@@ -8,188 +8,20 @@ disinformation spreading patterns with cross-validated linear and
 nearest-neighbor models.
 """
 
-from .errors import (
-    DatasetError,
-    DiffnetError,
-    EmptyGraphError,
-    FileFormatError,
-    MalformedEventError,
-)
-from .graphs import (
-    Bias,
-    DiffusionNetwork,
-    EdgeDirection,
-    Interaction,
-    InteractionEvent,
-    Label,
-    SizeBucket,
-    build_network,
-    build_networks,
-    iter_events,
-    load_network,
-    parse_event,
-    read_events,
-    save_network,
-)
-from .features import (
-    FEATURE_NAMES,
-    ClusteringVariant,
-    FeatureVector,
-    average_clustering,
-    core_numbers,
-    extract_features,
-    local_clustering,
-    lwcc_diameter,
-    main_kcore,
-    strongly_connected_component_sizes,
-    weakly_connected_components,
-)
-from .graphlets import (
-    CATALOG,
-    LARGE_NETWORK_THRESHOLD,
-    N_ORBITS,
-    correlation_matrix,
-    count_orbits,
-    dgcd13,
-    dgcd_from_correlations,
-    network_correlations,
-)
-from .portraits import (
-    divergence_from_portraits,
-    pad_portraits,
-    portrait,
-    portrait_distributions,
-    portrait_divergence,
-)
-from .ml import (
-    ClassificationReport,
-    ConvergenceWarning,
-    EvalConfig,
-    FoldMetrics,
-    KSResult,
-    LabeledDataset,
-    LogisticConfig,
-    LogisticModel,
-    POSITIVE_LABEL,
-    RocCurve,
-    Sample,
-    evaluate,
-    feature_ks_tests,
-    knn_predict,
-    knn_predict_from_distances,
-    ks_two_sample,
-    logistic_fit,
-    logistic_loss_grad,
-    logistic_predict,
-    roc_auc,
-    standardize_apply,
-    standardize_fit,
-    stratified_shuffle_split,
-    threshold_metrics,
-)
-from .synth import (
-    CascadeRecipe,
-    ClassProfile,
-    generate,
-    generate_ensemble,
-    mean_audience_size,
-    recipe_for,
-)
-from .dataset import (
-    ManifestEntry,
-    dataset_from_samples,
-    distance_matrix,
-    read_distance_matrix,
-    read_feature_table,
-    read_manifest,
-    write_distance_matrix,
-    write_feature_table,
-    write_manifest,
-)
+from .errors import *
+from .graphs import *
+from .features import *
+from .graphlets import *
+from .portraits import *
+from .ml import *
+from .synth import *
+from .dataset import *
+from . import dataset, errors, features, graphlets, graphs, ml, portraits, synth
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bias",
-    "CATALOG",
-    "CascadeRecipe",
-    "ClassProfile",
-    "ClassificationReport",
-    "ClusteringVariant",
-    "ConvergenceWarning",
-    "DatasetError",
-    "DiffnetError",
-    "DiffusionNetwork",
-    "EdgeDirection",
-    "EmptyGraphError",
-    "EvalConfig",
-    "FEATURE_NAMES",
-    "FeatureVector",
-    "FileFormatError",
-    "FoldMetrics",
-    "Interaction",
-    "InteractionEvent",
-    "KSResult",
-    "LARGE_NETWORK_THRESHOLD",
-    "Label",
-    "LabeledDataset",
-    "LogisticConfig",
-    "LogisticModel",
-    "MalformedEventError",
-    "ManifestEntry",
-    "N_ORBITS",
-    "POSITIVE_LABEL",
-    "RocCurve",
-    "Sample",
-    "SizeBucket",
-    "average_clustering",
-    "build_network",
-    "build_networks",
-    "core_numbers",
-    "correlation_matrix",
-    "count_orbits",
-    "dataset_from_samples",
-    "dgcd13",
-    "dgcd_from_correlations",
-    "distance_matrix",
-    "divergence_from_portraits",
-    "evaluate",
-    "extract_features",
-    "feature_ks_tests",
-    "generate",
-    "generate_ensemble",
-    "iter_events",
-    "knn_predict",
-    "knn_predict_from_distances",
-    "ks_two_sample",
-    "load_network",
-    "local_clustering",
-    "logistic_fit",
-    "logistic_loss_grad",
-    "logistic_predict",
-    "lwcc_diameter",
-    "main_kcore",
-    "mean_audience_size",
-    "network_correlations",
-    "pad_portraits",
-    "parse_event",
-    "portrait",
-    "portrait_distributions",
-    "portrait_divergence",
-    "read_distance_matrix",
-    "read_events",
-    "read_feature_table",
-    "read_manifest",
-    "recipe_for",
-    "roc_auc",
-    "save_network",
-    "standardize_apply",
-    "standardize_fit",
-    "stratified_shuffle_split",
-    "strongly_connected_component_sizes",
-    "threshold_metrics",
-    "weakly_connected_components",
-    "write_distance_matrix",
-    "write_feature_table",
-    "write_manifest",
+    name
+    for module in (errors, graphs, features, graphlets, portraits, ml, synth, dataset)
+    for name in module.__all__
 ]

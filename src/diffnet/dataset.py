@@ -25,6 +25,18 @@ from .graphs import Bias, DiffusionNetwork, Label
 from .ml import LabeledDataset, Sample
 from .portraits import divergence_from_portraits, portrait, portrait_distributions
 
+__all__ = [
+    "ManifestEntry",
+    "dataset_from_samples",
+    "distance_matrix",
+    "read_distance_matrix",
+    "read_feature_table",
+    "read_manifest",
+    "write_distance_matrix",
+    "write_feature_table",
+    "write_manifest",
+]
+
 MANIFEST_COLUMNS = ("network_id", "path", "label", "bias", "tweet_count")
 FEATURE_TABLE_COLUMNS = ("network_id", "label", "bias", "n_nodes") + FEATURE_NAMES
 _FEATURE_NUMBER_COLUMNS = ("n_nodes",) + FEATURE_NAMES
@@ -76,7 +88,7 @@ class ManifestEntry:
 def write_manifest(entries: Sequence[ManifestEntry], path: str | Path) -> None:
     """Write a manifest CSV; n_nodes is an optional extra column."""
     path = Path(path)
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_COLUMNS + ("n_nodes",))
         for e in sorted(entries, key=lambda e: e.network_id):
@@ -99,7 +111,7 @@ def _table_rows(path: Path, columns: Sequence[str], kind: str) -> Iterator[tuple
     row with more cells than the header, and at a ``network_id`` seen
     before, naming the line it was first on."""
     first_line: dict[str, int] = {}
-    with path.open(newline="") as fh:
+    with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(columns) - set(reader.fieldnames or ())
         if missing:
@@ -152,7 +164,7 @@ def read_manifest(path: str | Path) -> list[ManifestEntry]:
 def write_feature_table(samples: Sequence[Sample], path: str | Path) -> None:
     """CSV with one row per network, in network_id order, in the fixed
     seven-feature order."""
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FEATURE_TABLE_COLUMNS)
         for s in sorted(samples, key=lambda s: s.network_id):
@@ -215,7 +227,7 @@ def write_distance_matrix(ids: Sequence[str], matrix: np.ndarray, path: str | Pa
     # per row above, its texts right of the diagonal not yet used, last
     # column first: popping each gives column i of the rows above row i
     pending: list[list[str]] = []
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(["network_id", *ids])
         for i, (network_id, row) in enumerate(zip(ids, matrix)):
             left = list(map(list.pop, pending))
@@ -228,7 +240,7 @@ def write_distance_matrix(ids: Sequence[str], matrix: np.ndarray, path: str | Pa
 
 def read_distance_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -241,29 +253,35 @@ def read_distance_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:
                 f"duplicate ids in header: {', '.join(repeated)}", path=path, line_no=1
             )
         matrix = np.zeros((len(ids), len(ids)))
-        row_ids = []
+        rows = 0
         for row in reader:
             line_no = reader.line_num
             if len(row) != len(ids) + 1:
                 raise FileFormatError(
                     f"expected {len(ids) + 1} cells, found {len(row)}", path=path, line_no=line_no
                 )
-            if len(row_ids) == len(ids):
+            if rows == len(ids):
                 raise FileFormatError(
                     f"more rows than the {len(ids)} header ids", path=path, line_no=line_no
                 )
+            if row[0] != ids[rows]:
+                raise FileFormatError(
+                    f"row ids do not match header ids: expected {ids[rows]!r}, found {row[0]!r}",
+                    path=path,
+                    line_no=line_no,
+                )
             cells = row[1:]
             _check_number_cells(cells, path, line_no)
-            row_ids.append(row[0])
-            values = matrix[len(row_ids) - 1]
+            values = matrix[rows]
+            rows += 1
             try:
                 values[:] = list(map(float, cells))
             except ValueError as exc:  # names the cell: could not convert string to float: 'x'
                 raise FileFormatError(str(exc), path=path, line_no=line_no) from None
             if not np.isfinite(values).all():
                 raise FileFormatError("non-finite distance", path=path, line_no=line_no)
-        if row_ids != ids:
-            raise FileFormatError("row ids do not match header ids", path=path)
+        if rows < len(ids):
+            raise FileFormatError(f"{rows} row(s) for the {len(ids)} header ids", path=path)
     return ids, matrix
 
 

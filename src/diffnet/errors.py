@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DatasetError",
+    "DiffnetError",
+    "EmptyGraphError",
+    "FileFormatError",
+    "MalformedEventError",
+]
+
 
 class DiffnetError(Exception):
     """Base class for all diffnet errors."""

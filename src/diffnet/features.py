@@ -19,6 +19,20 @@ import numpy as np
 
 from .graphs import DiffusionNetwork, bfs_layers, has_arcs, require_nodes, triangles
 
+__all__ = [
+    "FEATURE_NAMES",
+    "ClusteringVariant",
+    "FeatureVector",
+    "average_clustering",
+    "core_numbers",
+    "extract_features",
+    "local_clustering",
+    "lwcc_diameter",
+    "main_kcore",
+    "strongly_connected_component_sizes",
+    "weakly_connected_components",
+]
+
 
 class ClusteringVariant(str, Enum):
     UNDIRECTED = "undirected"

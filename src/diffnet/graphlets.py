@@ -38,6 +38,17 @@ import numpy as np
 from .graphs import DiffusionNetwork, has_arcs, require_nodes, triangles
 from .ml import average_ranks
 
+__all__ = [
+    "CATALOG",
+    "LARGE_NETWORK_THRESHOLD",
+    "N_ORBITS",
+    "correlation_matrix",
+    "count_orbits",
+    "dgcd13",
+    "dgcd_from_correlations",
+    "network_correlations",
+]
+
 N_ORBITS = 13
 
 #: Node count from which the distance-matrix front end leaves networks out

@@ -24,6 +24,23 @@ import numpy as np
 
 from .errors import EmptyGraphError, FileFormatError, MalformedEventError
 
+__all__ = [
+    "Bias",
+    "DiffusionNetwork",
+    "EdgeDirection",
+    "Interaction",
+    "InteractionEvent",
+    "Label",
+    "SizeBucket",
+    "build_network",
+    "build_networks",
+    "iter_events",
+    "load_network",
+    "parse_event",
+    "read_events",
+    "save_network",
+]
+
 
 class Interaction(str, Enum):
     ORIGINAL = "original"
@@ -81,6 +98,11 @@ class SizeBucket(Enum):
         return SizeBucket.from_node_count(n) is self
 
 
+# bound once: on CPython 3.11 looking a member up on its Enum class takes
+# about 0.1 us, which made those lookups most of interaction_edge's time
+_ORIGINAL, _MENTION, _REVERSED = Interaction.ORIGINAL, Interaction.MENTION, EdgeDirection.REVERSED
+
+
 @dataclass(frozen=True, slots=True)
 class InteractionEvent:
     """One typed interaction extracted from a tweet.
@@ -100,7 +122,7 @@ class InteractionEvent:
     def __post_init__(self):
         if not self.user:
             raise MalformedEventError(f"event {self.tweet_id!r}: empty acting user")
-        if self.interaction is Interaction.ORIGINAL:
+        if self.interaction is _ORIGINAL:
             if self.target_user is not None:
                 raise MalformedEventError(
                     f"event {self.tweet_id!r}: original tweet carries a target user"
@@ -271,11 +293,6 @@ def bfs_layers(
     return counts, visited
 
 
-# bound once: on CPython 3.11 looking a member up on its Enum class takes
-# about 0.1 us, which made those lookups most of interaction_edge's time
-_ORIGINAL, _MENTION, _REVERSED = Interaction.ORIGINAL, Interaction.MENTION, EdgeDirection.REVERSED
-
-
 def interaction_edge(event: InteractionEvent, direction: EdgeDirection) -> tuple[str, str] | None:
     """Directed edge realized by one event, or None for originals/self-interactions."""
     if event.interaction is _ORIGINAL:
@@ -379,6 +396,16 @@ _KEY_TYPES = {
 }
 
 
+def _encodes(text: str) -> bool:
+    """Whether ``text`` can be written as UTF-8: a lone surrogate, such as
+    the JSON escape ``\\udc80`` decodes to, cannot."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def parse_event(obj: Mapping) -> InteractionEvent:
     """Build an event from a decoded JSON object, validating the schema."""
     try:
@@ -403,11 +430,16 @@ def parse_event(obj: Mapping) -> InteractionEvent:
         timestamp = float(timestamp)
     except OverflowError:  # an integer beyond the float range
         raise MalformedEventError("timestamp is too large for a float") from None
+    user, target = str(user), None if target is None else str(target)
+    if not (user.isascii() and url.isascii() and (target is None or target.isascii())):
+        for key, name in (("user", user), ("target_user", target), ("url", url)):
+            if name is not None and not _encodes(name):
+                raise MalformedEventError(f"{key} {name!r} cannot be encoded as UTF-8")
     # users and URLs repeat across events: interning keeps one copy of each
     return InteractionEvent(
         tweet_id=str(tweet_id),
-        user=sys.intern(str(user)),
-        target_user=None if target is None else sys.intern(str(target)),
+        user=sys.intern(user),
+        target_user=None if target is None else sys.intern(target),
         interaction=interaction,
         url=sys.intern(url),
         timestamp=timestamp,
@@ -465,14 +497,16 @@ def _unwritable_reason(name: str) -> str | None:
         return "it has leading or trailing whitespace"
     if "\t" in name or "\n" in name or "\r" in name:
         return "it contains a tab or a line break"
+    if not name.isascii() and not _encodes(name):
+        return "it cannot be encoded as UTF-8"
     return None
 
 
 def check_node_names(network: DiffusionNetwork, edges_path) -> None:
     """Raise :class:`FileFormatError` naming the first node of ``network``
     that the edge list at ``edges_path`` cannot carry: an empty name, one
-    starting with ``#``, with leading or trailing whitespace, or containing
-    a tab or a line break."""
+    starting with ``#``, with leading or trailing whitespace, containing a
+    tab or a line break, or one that cannot be encoded as UTF-8."""
     for u in network.sorted_nodes:
         reason = _unwritable_reason(u)
         if reason is not None:

@@ -16,6 +16,33 @@ import numpy as np
 from .features import FEATURE_NAMES, FeatureVector
 from .graphs import Bias, Label
 
+__all__ = [
+    "ClassificationReport",
+    "ConvergenceWarning",
+    "EvalConfig",
+    "FoldMetrics",
+    "KSResult",
+    "LabeledDataset",
+    "LogisticConfig",
+    "LogisticModel",
+    "POSITIVE_LABEL",
+    "RocCurve",
+    "Sample",
+    "evaluate",
+    "feature_ks_tests",
+    "knn_predict",
+    "knn_predict_from_distances",
+    "ks_two_sample",
+    "logistic_fit",
+    "logistic_loss_grad",
+    "logistic_predict",
+    "roc_auc",
+    "standardize_apply",
+    "standardize_fit",
+    "stratified_shuffle_split",
+    "threshold_metrics",
+]
+
 POSITIVE_LABEL = Label.DISINFORMATION
 CLASSIFIERS = ("lr", "knn", "knn-distance")  # knn-distance reads a distance matrix alone
 MIN_CLASS_SAMPLES = 20  # the fewest samples per class that evaluate cross-validates

@@ -21,6 +21,14 @@ import numpy as np
 
 from .graphs import DiffusionNetwork, require_nodes
 
+__all__ = [
+    "divergence_from_portraits",
+    "pad_portraits",
+    "portrait",
+    "portrait_distributions",
+    "portrait_divergence",
+]
+
 # twin classes per bit-parallel BFS pass, one bit each
 _BATCH = 2048
 # little-endian words, so that byte b of a word holds its bits 8b to 8b + 7

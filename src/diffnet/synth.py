@@ -19,6 +19,15 @@ import numpy as np
 
 from .graphs import Bias, DiffusionNetwork, Label, SizeBucket
 
+__all__ = [
+    "CascadeRecipe",
+    "ClassProfile",
+    "generate",
+    "generate_ensemble",
+    "mean_audience_size",
+    "recipe_for",
+]
+
 
 class ClassProfile(enum.Enum):
     BROADCAST_LIKE = "broadcast_like"

@@ -1,14 +1,18 @@
 """End-to-end command-line behaviour: exit codes, messages, file outputs.
 
 Every test drives ``main(argv)`` in process so capsys sees stdout/stderr
-and no subprocess startup cost is paid.
+and no subprocess startup cost is paid, but one, which needs an
+interpreter flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from enum import Enum
 from pathlib import Path
@@ -274,6 +278,28 @@ def test_build_skips_a_line_that_is_not_utf8_and_builds_the_rest(tmp_path, capsy
         f"{position}: invalid start byte\n"
     )
     assert captured.out == f"built 2 networks (4 nodes, 2 edges) -> {out_dir / 'manifest.csv'}\n"
+
+
+@pytest.mark.parametrize("key", ["user", "url"])
+def test_build_skips_a_line_whose_name_cannot_be_encoded_as_utf8(tmp_path, capsys, key):
+    # the JSON escape is valid and decodes to a lone surrogate, which no
+    # file can hold: the line is skipped and the other URL is built
+    bad = event("t3", "dan", "original", URL_B)
+    bad[key] += "\udc80"
+    events_path = tmp_path / "events.jsonl"
+    write_events(events_path, two_story_events()[:2] + [bad])
+    assert "\\udc80" in events_path.read_text()
+    out_dir = tmp_path / "nets"
+
+    code = main(["build", str(events_path), "--out-dir", str(out_dir)])
+
+    assert code == EXIT_PARTIAL
+    err = capsys.readouterr().err
+    assert f"warning: {events_path}:3: {key} {bad[key]!r} cannot be encoded as UTF-8" in err
+    network_id = network_id_for_url(URL_A)
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        f"{network_id}.edges", f"{network_id}.nodes", "manifest.csv"
+    ]
 
 
 def test_build_accepts_a_byte_order_mark_at_the_start_of_the_file(tmp_path, capsys):
@@ -1155,3 +1181,42 @@ def test_network_id_for_url_is_stable_and_filesystem_safe():
     assert nid == network_id_for_url(url)
     assert "/" not in nid and " " not in nid
     assert network_id_for_url("https://ex.com/a") != network_id_for_url("https://ex.com/b")
+
+
+# --- text encodings -----------------------------------------------------------
+
+
+def test_every_command_names_the_encoding_of_the_files_it_opens(tmp_path):
+    # -X warn_default_encoding warns at each text file opened in the
+    # locale's encoding, which is not UTF-8 on every platform
+    corpus, events_path = tmp_path / "corpus", tmp_path / "events.jsonl"
+    write_events(events_path, two_story_events())
+    ft, d, out = tmp_path / "features.csv", tmp_path / "d.csv", tmp_path / "out"
+    generate = ["generate", "--count", "20", "--bucket", "0-100", "--out-dir", str(corpus)]
+    samples = ["--features", str(ft), "--manifest", str(corpus / "manifest.csv")]
+    commands = [
+        generate + ["--profile", "broadcast_like"],
+        generate + ["--profile", "clustered_like"],
+        ["build", str(events_path), "--out-dir", str(tmp_path / "built")],
+        ["features", str(corpus / "manifest.csv"), "--out", str(ft)],
+        ["distances", str(corpus / "manifest.csv"), "--out", str(d)],
+        ["classify", *samples, "--folds", "2", "--out", f"{out}-lr.json", "--roc-out", f"{out}-roc.csv"],
+        ["classify", *samples, "--folds", "2", "--classifier", "knn-distance", "--distances", str(d),
+         "--out", f"{out}-knn.json"],
+        ["report", *samples, "--out", f"{out}-report.json"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from diffnet.cli import main\n"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    run = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-c", script, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+    assert "'encoding' argument not specified" not in run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [EXIT_OK] * len(commands), run.stderr

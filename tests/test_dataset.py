@@ -275,7 +275,14 @@ def test_distance_matrix_shape_mismatch_rejected(tmp_path):
 def test_distance_matrix_row_id_mismatch_rejected(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("network_id,a,b\na,0.0,1.0\nc,1.0,0.0\n")
-    with pytest.raises(FileFormatError, match="row ids"):
+    with pytest.raises(FileFormatError, match="d.csv:3: row ids do not match header ids: expected 'b', found 'c'"):
+        read_distance_matrix(path)
+
+
+def test_distance_matrix_with_too_few_rows_rejected(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("network_id,a,b\na,0.0,1.0\n")
+    with pytest.raises(FileFormatError, match=re.escape("d.csv: 1 row(s) for the 2 header ids")):
         read_distance_matrix(path)
 
 

@@ -132,6 +132,14 @@ def test_parse_event_rejects_values_of_other_json_types(key, value, expected):
         parse_event({**_VALID_EVENT, key: value})
 
 
+@pytest.mark.parametrize("key", ["user", "target_user", "url"])
+def test_parse_event_refuses_a_name_that_cannot_be_encoded_as_utf8(key):
+    value = json.loads('"a\\udc80b"')  # valid JSON, decoded to a lone surrogate
+    expected = f"{key} 'a\\udc80b' cannot be encoded as UTF-8"
+    with pytest.raises(MalformedEventError, match=re.escape(expected)):
+        parse_event({**_VALID_EVENT, key: value})
+
+
 def test_parse_event_takes_integer_names_and_a_missing_target():
     event = parse_event({**_VALID_EVENT, "tweet_id": 9, "user": 1, "target_user": 2})
     assert (event.tweet_id, event.user, event.target_user) == ("9", "1", "2")
@@ -146,6 +154,9 @@ def test_parse_event_takes_integer_names_and_a_missing_target():
 @example({**_VALID_EVENT, "timestamp": 2**1024 - 2**970})
 @example({**_VALID_EVENT, "timestamp": 2**1024 - 2**970 - 1})
 @example({**_VALID_EVENT, "interaction": ["retweet"]})
+@example({**_VALID_EVENT, "user": "A\udc80", "target_user": "\ud800", "url": "\udfff"})
+@example({**_VALID_EVENT, "target_user": "\ud800", "url": "\udfff"})
+@example({**_VALID_EVENT, "user": "é", "url": "\udfff"})
 @example({**_VALID_EVENT, "interaction": {"retweet": 1}})
 @example(list(_EVENT_FIELDS))
 @example(" ".join(_EVENT_FIELDS))
@@ -476,8 +487,9 @@ def test_edge_list_roundtrip_preserves_isolates(tmp_path):
         ("a\tb", {("a\tb", "b")}),
         ("a\nb", set()),
         ("a\rb", {("b", "a\rb")}),
+        ("a\udc80b", {("a\udc80b", "b")}),
     ],
-    ids=["empty", "hash", "leading-space", "trailing-space", "tab", "newline", "return"],
+    ids=["empty", "hash", "leading-space", "trailing-space", "tab", "newline", "return", "surrogate"],
 )
 def test_save_rejects_names_the_edge_list_cannot_carry(tmp_path, bad, edges):
     net = DiffusionNetwork(network_id="bad", nodes={bad, "b"}, edges=edges)

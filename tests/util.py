@@ -456,6 +456,10 @@ def oracle_parse_event(obj) -> InteractionEvent:
         raise MalformedEventError(f"timestamp must be a number, not {type(timestamp).__name__}")
     if isinstance(timestamp, int) and abs(timestamp) >= 2**1024 - 2**970:  # rounds past 2**1024
         raise MalformedEventError("timestamp is too large for a float")
+    for key in ("user", "target_user", "url"):
+        name = obj.get(key)
+        if isinstance(name, str) and any(0xD800 <= ord(c) <= 0xDFFF for c in name):
+            raise MalformedEventError(f"{key} {name!r} cannot be encoded as UTF-8")
     return InteractionEvent(
         tweet_id=str(obj["tweet_id"]),
         user=str(obj["user"]),
