@@ -126,7 +126,8 @@ def main(argv: list[str] | None = None) -> None:
                   f"+/- {report.std('auc'):.3f} (pooled {report.pooled_auc:.3f})")
             if args.out_dir is not None:
                 out = args.out_dir / f"benchmark-{bucket.value}-{classifier}.json"
-                out.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+                text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+                out.write_text(text, encoding="utf-8", newline="\n")
 
         if args.control:
             report = run("lr", shuffled_control(dataset, args.seed + 7))

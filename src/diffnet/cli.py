@@ -335,7 +335,7 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
     payload["bucket"] = config.bucket.value
 
     out = Path(args.out)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
     if args.roc_out:
         with Path(args.roc_out).open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -410,7 +410,8 @@ def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
             for j, (name, stat, p) in enumerate(ks)
         },
     }
-    Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    Path(args.out).write_text(text, encoding="utf-8", newline="\n")
     print(f"wrote feature report ({len(samples)} samples) -> {args.out}")
     return EXIT_OK
 

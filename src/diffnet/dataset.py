@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DatasetError, FileFormatError
 from .features import FEATURE_NAMES, FeatureVector
 from .graphlets import dgcd_from_correlations, network_correlations
-from .graphs import Bias, DiffusionNetwork, Label
+from .graphs import Bias, DiffusionNetwork, Label, numbered_lines
 from .ml import LabeledDataset, Sample
 from .portraits import divergence_from_portraits, portrait, portrait_distributions
 
@@ -87,21 +87,12 @@ class ManifestEntry:
 
 def write_manifest(entries: Sequence[ManifestEntry], path: str | Path) -> None:
     """Write a manifest CSV; n_nodes is an optional extra column."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_COLUMNS + ("n_nodes",))
         for e in sorted(entries, key=lambda e: e.network_id):
-            writer.writerow(
-                [
-                    e.network_id,
-                    e.path,
-                    e.label.value,
-                    e.bias.value,
-                    e.tweet_count,
-                    "" if e.n_nodes is None else e.n_nodes,
-                ]
-            )
+            n_nodes = "" if e.n_nodes is None else e.n_nodes
+            writer.writerow([e.network_id, e.path, e.label.value, e.bias.value, e.tweet_count, n_nodes])
 
 
 def _table_rows(path: Path, columns: Sequence[str], kind: str) -> Iterator[tuple[int, dict]]:
@@ -111,8 +102,8 @@ def _table_rows(path: Path, columns: Sequence[str], kind: str) -> Iterator[tuple
     row with more cells than the header, and at a ``network_id`` seen
     before, naming the line it was first on."""
     first_line: dict[str, int] = {}
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    reader = csv.DictReader(line for _, line in numbered_lines(path))
+    try:
         missing = set(columns) - set(reader.fieldnames or ())
         if missing:
             raise FileFormatError(f"{kind} missing columns: {', '.join(sorted(missing))}", path=path)
@@ -134,6 +125,9 @@ def _table_rows(path: Path, columns: Sequence[str], kind: str) -> Iterator[tuple
                 )
             first_line[network_id] = line_no
             yield line_no, row
+    except csv.Error as exc:  # a cell over csv.field_size_limit(), or a NUL byte before Python 3.11
+        # the DictReader sets its own line_num only once a row has parsed
+        raise FileFormatError(str(exc), path=path, line_no=reader.reader.line_num) from None
 
 
 def read_manifest(path: str | Path) -> list[ManifestEntry]:
@@ -240,11 +234,10 @@ def write_distance_matrix(ids: Sequence[str], matrix: np.ndarray, path: str | Pa
 
 def read_distance_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:
     path = Path(path)
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+    reader = csv.reader(line for _, line in numbered_lines(path))
+    try:
+        header = next(reader, None)
+        if header is None:
             raise FileFormatError("empty distance matrix", path=path)
         ids = header[1:]
         repeated = sorted(i for i, count in Counter(ids).items() if count > 1)
@@ -282,6 +275,8 @@ def read_distance_matrix(path: str | Path) -> tuple[list[str], np.ndarray]:
                 raise FileFormatError("non-finite distance", path=path, line_no=line_no)
         if rows < len(ids):
             raise FileFormatError(f"{rows} row(s) for the {len(ids)} header ids", path=path)
+    except csv.Error as exc:  # as in _table_rows
+        raise FileFormatError(str(exc), path=path, line_no=reader.line_num) from None
     return ids, matrix
 
 

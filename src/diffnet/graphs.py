@@ -379,6 +379,37 @@ def build_network(
     return replace(network, network_id=network_id, label=label, bias=bias)
 
 
+def numbered_lines(path, skipped: list[tuple[int, str]] | None = None) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each line of the UTF-8 file at ``path``,
+    its end kept. Lines end as ``csv`` reads them, at ``\\n``, ``\\r\\n`` or a
+    lone ``\\r``; a byte order mark is dropped at the start of the file only.
+    A line that is not UTF-8 raises :class:`FileFormatError` at its line, or
+    is appended to ``skipped`` as ``(line number, reason)`` when that is a list."""
+
+    def checked(lines, start):
+        for line_no, line in enumerate(lines, start):
+            try:  # decoding its bytes again names the bad one
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                if skipped is None:
+                    raise FileFormatError(str(exc), path=path, line_no=line_no) from None
+                skipped.append((line_no, str(exc)))
+            else:
+                yield line_no, line
+
+    def blocks():
+        # surrogateescape reads a byte that is not UTF-8 as a lone surrogate,
+        # so such a byte fails its own line, not the decode buffer it sits in;
+        # a block without one is chained on whole, with no Python step per line
+        with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+            start = 1
+            while lines := fh.readlines(1 << 16):
+                yield enumerate(lines, start) if _encodes("".join(lines)) else checked(lines, start)
+                start += len(lines)
+
+    return chain.from_iterable(blocks())
+
+
 # --- event file ingestion (one JSON object per line) -----------------------
 
 _REQUIRED_KEYS = ("tweet_id", "user", "interaction", "url", "timestamp")  # target_user may be absent
@@ -451,25 +482,19 @@ def iter_events(path, skipped: list[tuple[int, str]]) -> Iterator[InteractionEve
 
     For each line that is not a valid event (not UTF-8, not JSON, nested
     too deeply to decode, or not an event), append its line number and the
-    reason to ``skipped``. A UTF-8 byte order mark is accepted at the start
-    of the file only.
+    reason to ``skipped``. The lines are read by ``numbered_lines``.
     """
-    # surrogateescape reads a byte that is not UTF-8 as a lone surrogate,
-    # so such a byte fails its own line, not the decode buffer it sits in
-    with Path(path).open("r", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                if not line.isascii():  # decoding its bytes again names the bad one
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                line = line.strip()
-                if not line:
-                    continue
-                event = parse_event(json.loads(line))
-            except (ValueError, TypeError, RecursionError) as exc:
-                # ValueError: UnicodeDecodeError, JSONDecodeError, MalformedEventError
-                skipped.append((line_no, str(exc)))
-                continue
-            yield event
+    for line_no, line in numbered_lines(path, skipped):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            event = parse_event(json.loads(line))
+        except (ValueError, TypeError, RecursionError) as exc:
+            # ValueError: JSONDecodeError, MalformedEventError
+            skipped.append((line_no, str(exc)))
+            continue
+        yield event
 
 
 def read_events(path) -> tuple[list[InteractionEvent], list[tuple[int, str]]]:
@@ -530,11 +555,11 @@ def save_network(network: DiffusionNetwork, edges_path) -> None:
     """
     edges_path = Path(edges_path)
     check_node_names(network, edges_path)
-    with edges_path.open("w", encoding="utf-8") as fh:
+    with edges_path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(DIRECTED_HEADER + "\n")
         for u, v in sorted(network.edges):
             fh.write(f"{u}\t{v}\n")
-    with _nodes_path(edges_path).open("w", encoding="utf-8") as fh:
+    with _nodes_path(edges_path).open("w", encoding="utf-8", newline="\n") as fh:
         for u in network.sorted_nodes:
             fh.write(u + "\n")
 
@@ -551,34 +576,27 @@ def load_network(path, *, network_id: str | None = None) -> DiffusionNetwork:
     edges: set[tuple[str, str]] = set()
     nodes: set[str] = set()
     duplicates = 0
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise FileFormatError(
-                    f"expected 'src<TAB>dst', got {line!r}", path=path, line_no=line_no
-                )
-            u, v = parts
-            if u == v:
-                raise FileFormatError(f"self-loop on node {u!r}", path=path, line_no=line_no)
-            if (u, v) in edges:
-                duplicates += 1
-            edges.add((u, v))
-            nodes.add(u)
-            nodes.add(v)
+    for line_no, line in numbered_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise FileFormatError(f"expected 'src<TAB>dst', got {line!r}", path=path, line_no=line_no)
+        u, v = parts
+        if u == v:
+            raise FileFormatError(f"self-loop on node {u!r}", path=path, line_no=line_no)
+        if (u, v) in edges:
+            duplicates += 1
+        edges.add((u, v))
+        nodes.add(u)
+        nodes.add(v)
     if duplicates:
         warnings.warn(f"{path}: collapsed {duplicates} duplicate edge line(s)", stacklevel=2)
 
     nodes_path = _nodes_path(path)
     if nodes_path.exists():
-        with nodes_path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                name = line.strip()
-                if name:
-                    nodes.add(name)
+        nodes.update(name for _, line in numbered_lines(nodes_path) if (name := line.strip()))
 
     return DiffusionNetwork(
         network_id=network_id or path.stem,

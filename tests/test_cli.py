@@ -978,6 +978,31 @@ def test_classify_and_report_without_options_record_run_config_defaults(tmp_path
         assert {name: config[name] for name in defaults} == defaults
 
 
+@pytest.mark.parametrize("command", ["features", "report", "classify"])
+def test_a_cell_over_the_csv_field_limit_fails_at_its_line(tmp_path, capsys, command):
+    # csv refuses a field over 131,072 characters with csv.Error, which is
+    # not a ValueError: unconverted, it ends the command in a traceback
+    huge = "x" * 140_000
+    ft, bad = tmp_path / "features.csv", tmp_path / "bad.csv"
+    write_labeled_table(ft)
+    out = ["--out", str(tmp_path / "out")]
+    if command == "features":
+        bad.write_text(f"network_id,path,label,bias,tweet_count\nn,{huge},mainstream,none,60\n")
+        argv = ["features", str(bad), *out]
+    elif command == "report":
+        bad.write_text(ft.read_text().replace("disinfo-000", huge))
+        argv = ["report", "--features", str(bad), *out]
+    else:
+        bad.write_text(f"network_id,a\na,{huge}\n")
+        argv = ["classify", "--features", str(ft), "--distances", str(bad),
+                "--classifier", "knn-distance", *out]
+
+    code = main(argv)
+
+    assert code == EXIT_FATAL
+    assert capsys.readouterr().err == f"error: {bad}:2: field larger than field limit (131072)\n"
+
+
 # --- option validation ------------------------------------------------------
 
 

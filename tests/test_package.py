@@ -65,3 +65,48 @@ def test_no_name_is_exported_by_two_modules():
 
 def test_the_package_exports_the_union_of_its_modules():
     assert sorted(diffnet.__all__) == sorted(n for name in MODULES for n in module_exports(name))
+
+
+# --- file access ---------------------------------------------------------------
+
+FILE_CALLS = {"open", "read_text", "read_bytes", "write_text"}
+
+
+def file_calls(node: ast.AST, functions: tuple[str, ...] = ()):
+    """``(enclosing function names, call name, call)`` for each call in
+    ``node`` that opens, reads or writes a file."""
+    for child in ast.iter_child_nodes(node):
+        inner = functions
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = functions + (child.name,)
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in FILE_CALLS:
+                yield inner, name, child
+        yield from file_calls(child, inner)
+
+
+def open_mode(call: ast.Call) -> str:
+    """The mode of ``open(path, mode)`` or ``path.open(mode)``."""
+    positional = call.args[1:] if isinstance(call.func, ast.Name) else call.args
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), positional[0] if positional else None)
+    return "r" if mode is None else ast.literal_eval(mode)
+
+
+def test_every_file_is_read_by_numbered_lines_and_written_with_a_fixed_encoding_and_newline():
+    # one reader decodes, numbers and fails the lines of every input file;
+    # every writer names the bytes it writes, whatever the platform
+    readers, loose_writers, writers = set(), [], 0
+    for path in sorted(Path(diffnet.__file__).resolve().parent.glob("*.py")):
+        for functions, name, call in file_calls(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{call.lineno}"
+            if name == "write_text" or (name == "open" and set(open_mode(call)) & set("wax+")):
+                writers += 1
+                keywords = {k.arg: ast.unparse(k.value) for k in call.keywords}
+                if keywords.get("encoding") != "'utf-8'" or "newline" not in keywords:
+                    loose_writers.append(where)
+            else:
+                readers.add((path.name, functions[0] if functions else None))
+    assert readers == {("graphs.py", "numbered_lines")}
+    assert writers >= 8 and loose_writers == []
